@@ -7,9 +7,8 @@
 //! timing profile) → **stage powers** (the bisection's per-stage watt
 //! accounting) → **logical error** (the `d = 23` error-model landing) →
 //! **verdict** (the assembled [`Scalability`]) — and lets callers run
-//! them one at a time, inspect intermediate artifacts, and reuse the
-//! `qisim-power` memo cache between stages. Every stage is wrapped in an
-//! `engine.stage.*` observability span.
+//! them one at a time and inspect intermediate artifacts. Every stage is
+//! wrapped in an `engine.stage.*` observability span.
 //!
 //! [`try_analyze`] / [`try_analyze_many`] / [`try_sweep`] are the
 //! batch-friendly entry points: malformed design points come back as
@@ -48,7 +47,7 @@ use qisim_hal::wire::InstructionLink;
 use qisim_microarch::cryo_cmos::EsmProfile;
 use qisim_microarch::QciArch;
 use qisim_obs::{counter, gauge, span};
-use qisim_power::{MemoKey, PowerError, StagePower};
+use qisim_power::{PowerError, StagePower};
 use qisim_surface::analytic::CALIBRATION;
 use qisim_surface::montecarlo::{logical_error_rate_rare, logical_error_rate_sliced_par};
 use qisim_surface::target::{Target, CODE_DISTANCE};
@@ -198,8 +197,8 @@ impl AnalysisPlan {
     /// Plans an analysis across a whole [`FridgeTopology`] — the general
     /// form behind every other constructor. A single-fridge topology
     /// runs the classic pipeline bit-for-bit; with N > 1 fridges the
-    /// power stage shards per fridge, folds interconnect heat into the
-    /// stage budgets, and the verdict gains a
+    /// power stage folds interconnect heat into each fridge's stage
+    /// budgets, bisects the per-fridge scale, and the verdict gains a
     /// [`crate::scalability::ScaleOut`] block.
     ///
     /// # Errors
@@ -345,56 +344,33 @@ impl AnalysisPlan {
     }
 
     /// The classic single-fridge power stage: bisect the power-limited
-    /// scale and replay the landing probe from the memo cache for the
-    /// per-stage attribution. This path is bit-identical to the
-    /// pre-topology pipeline (the N=1 identity gate in
-    /// `tests/integration_engine.rs` pins it).
+    /// scale and re-evaluate the landing probe for the per-stage
+    /// attribution. This path is bit-identical to the pre-topology
+    /// pipeline (the N=1 identity gate in `tests/integration_engine.rs`
+    /// pins it).
     fn run_power_single(&mut self) -> Result<(), QisimError> {
         let design = self.design;
         let arch = self.inventory.get_or_insert_with(|| design.arch());
         let fridge = self.topology.fridge();
         let (n, binding) = qisim_power::try_max_qubits_with_link(arch, fridge, &self.link)?;
-        // The bisection's landing probe is in the memo cache;
-        // replay it for the per-stage attribution.
-        let key = MemoKey::new(arch, fridge, &self.link);
         let stages =
-            qisim_power::try_evaluate_memo(key, arch, fridge, n.max(1), &self.link)?.stages;
+            qisim_power::try_evaluate_with_link(arch, fridge, n.max(1), &self.link)?.stages;
         self.power =
             Some(PowerArtifact { power_limited_qubits: n, binding_stage: binding, stages });
         Ok(())
     }
 
     /// The multi-fridge power stage: derate each fridge's budgets by the
-    /// interconnect heat, bisect the per-fridge scale on one shard per
-    /// fridge (parallel on the [`qisim_par`] pool, folded in fridge
-    /// order so the result is thread-count independent), and aggregate
-    /// the cluster verdict plus its [`ScaleOut`] attribution.
+    /// interconnect heat, bisect the per-fridge scale once (the fridges
+    /// are identical, so every fridge lands on the same probe), and
+    /// aggregate the cluster verdict plus its [`ScaleOut`] attribution.
     fn run_power_sharded(&mut self) -> Result<(), QisimError> {
         let design = self.design;
         let arch: &QciArch = self.inventory.get_or_insert_with(|| design.arch());
         let fridges = self.topology.fridges();
         counter!("engine.fridge.shards", fridges as u64);
         let (per_fridge, binding) = match self.topology.effective_fridge() {
-            Some(eff) => {
-                // One shard per fridge. Fridges in the cluster are
-                // identical, so every shard lands on the same probe —
-                // the first one does the bisection, the rest replay it
-                // from the memo cache; the fold walks shards in fridge
-                // order (first error wins deterministically).
-                let link = &self.link;
-                let shards = qisim_par::par_map_indices(fridges as usize, |i| {
-                    if qisim_obs::trace::armed() {
-                        qisim_obs::trace::instant("engine.fridge.shard", &[("fridge", i as f64)]);
-                    }
-                    qisim_power::try_max_qubits_with_link(arch, &eff, link)
-                });
-                let mut landing = None;
-                for shard in shards {
-                    let shard = shard?;
-                    landing.get_or_insert(shard);
-                }
-                landing.unwrap_or((0, None))
-            }
+            Some(eff) => qisim_power::try_max_qubits_with_link(arch, &eff, &self.link)?,
             // The interconnect eats some stage's budget whole: zero
             // qubits per fridge, and the worst-loaded stage (total_cmp
             // ordering inside worst_link_stage) names the culprit.
@@ -404,9 +380,8 @@ impl AnalysisPlan {
         // *real* budgets; the interconnect share is itemized separately
         // in the ScaleOut block.
         let fridge = self.topology.fridge();
-        let key = MemoKey::new(arch, fridge, &self.link);
         let stages =
-            qisim_power::try_evaluate_memo(key, arch, fridge, per_fridge.max(1), &self.link)?
+            qisim_power::try_evaluate_with_link(arch, fridge, per_fridge.max(1), &self.link)?
                 .stages;
         let mut interconnect_w = [0.0; 5];
         for (i, &stage) in Stage::ALL.iter().enumerate() {
@@ -696,8 +671,7 @@ pub fn try_analyze_many(
 }
 
 /// Fallible [`crate::scalability::sweep`]: validates the design and the
-/// qubit counts, then evaluates the utilization curve in parallel
-/// through the power memo cache.
+/// qubit counts, then evaluates the utilization curve in parallel.
 ///
 /// # Errors
 ///
@@ -714,7 +688,6 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
     let arch = design.arch();
     let fridge = Fridge::standard();
     let link = InstructionLink::standard();
-    let key = MemoKey::new(&arch, &fridge, &link);
     let p_l = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let util = |r: &qisim_power::PowerReport, stage: Stage| {
         r.stage(stage).map_or(0.0, StagePower::utilization)
@@ -723,7 +696,7 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
         if qisim_obs::trace::armed() {
             qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
         }
-        let r = qisim_power::try_evaluate_memo(key, &arch, &fridge, n, &link)?;
+        let r = qisim_power::try_evaluate_with_link(&arch, &fridge, n, &link)?;
         Ok(SweepPoint {
             qubits: n,
             power_w: r.stages.iter().map(StagePower::total_w).sum(),

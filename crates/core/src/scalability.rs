@@ -256,30 +256,9 @@ impl Scalability {
                 );
             }
         }
-        // The power memo cache backs every bisection probe behind this
-        // verdict; its process-wide hit rate says how much of the work
-        // was amortized (the counters exist whenever obs is compiled in).
-        let snap = qisim_obs::snapshot();
-        if let (Some(hits), Some(misses)) =
-            (snap.counter("power.cache.hits"), snap.counter("power.cache.misses"))
-        {
-            let total = hits + misses;
-            if total > 0 {
-                let stats = qisim_power::cache_stats();
-                let _ = writeln!(
-                    out,
-                    "  power memo cache: {hits} hits / {misses} misses ({:.1}% hit rate, \
-                     process-wide); {} entries resident of {} cap, {} evicted",
-                    100.0 * hits as f64 / total as f64,
-                    stats.len,
-                    stats.cap,
-                    stats.evictions,
-                );
-            }
-        }
         // Monte-Carlo estimator counters (process-wide): present only
-        // after a sliced or rare-event estimation ran, mirroring the
-        // conditional cache block above.
+        // after a sliced or rare-event estimation ran.
+        let snap = qisim_obs::snapshot();
         if let Some(trials) = snap.counter("surface.sliced.trials") {
             let words = snap.counter("surface.sliced.words").unwrap_or(0);
             let fallback = snap.counter("surface.sliced.fallback_trials").unwrap_or(0);
@@ -358,8 +337,8 @@ impl SweepPoint {
 /// one [`SweepPoint`] per requested qubit count.
 ///
 /// Points are evaluated **in parallel** on the [`qisim_par`] pool (one
-/// design point per task) through the power memo cache; the returned
-/// rows are always in `qubit_counts` order, independent of thread count.
+/// design point per task); the returned rows are always in
+/// `qubit_counts` order, independent of thread count.
 ///
 /// A stage absent from a report (a custom fridge or architecture that
 /// doesn't model it) contributes utilization 0 rather than panicking.
@@ -462,20 +441,6 @@ mod tests {
         assert!(text.contains("4K"), "{text}");
         assert!(text.contains("per-stage power"), "{text}");
         assert_eq!(s.stages.len(), Stage::ALL.len());
-    }
-
-    #[test]
-    fn explain_reports_the_memo_cache_hit_rate() {
-        // The bisection behind analyze() always probes the memo cache,
-        // so the counters exist by the time explain() renders.
-        let s = analyze(&QciDesign::cmos_baseline(), &Target::near_term());
-        let text = s.explain();
-        if qisim_obs::enabled() {
-            assert!(text.contains("power memo cache"), "{text}");
-            assert!(text.contains("hit rate"), "{text}");
-        } else {
-            assert!(!text.contains("power memo cache"), "{text}");
-        }
     }
 
     #[test]

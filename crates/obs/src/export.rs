@@ -131,21 +131,11 @@ pub fn text_table(snap: &Snapshot) -> String {
         );
         out.push('\n');
     }
-    // Health footer: ring overflow and cache effectiveness at a glance,
-    // without having to parse the JSON artifact.
+    // Health footer: ring overflow at a glance, without having to parse
+    // the JSON artifact.
     out.push_str("== summary ==\n");
     let dropped = snap.counter("trace.dropped_events").unwrap_or(0);
     out.push_str(&format!("trace.dropped_events: {dropped}\n"));
-    let hits = snap.counter("power.cache.hits").unwrap_or(0);
-    let misses = snap.counter("power.cache.misses").unwrap_or(0);
-    if hits + misses > 0 {
-        let rate = 100.0 * hits as f64 / (hits + misses) as f64;
-        out.push_str(&format!(
-            "power memo cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)\n"
-        ));
-    } else {
-        out.push_str("power memo cache: no lookups recorded\n");
-    }
     out
 }
 
@@ -386,7 +376,7 @@ pub fn json_is_well_formed(s: &str) -> bool {
     i == b.len()
 }
 
-/// Maps a dotted qisim metric name (`power.cache.hits`) onto the
+/// Maps a dotted qisim metric name (`power.evaluate.calls`) onto the
 /// OpenMetrics name charset `[a-zA-Z_:][a-zA-Z0-9_:]*`: dots and every
 /// other illegal character become underscores, and a leading digit gets
 /// an underscore prefix.
@@ -446,9 +436,9 @@ fn push_om_histogram(out: &mut String, n: &str, orig: &str, h: &Histogram) {
 /// Renders the snapshot in OpenMetrics text exposition format:
 ///
 /// ```text
-/// # TYPE power_cache_hits counter
-/// # HELP power_cache_hits qisim counter power.cache.hits
-/// power_cache_hits_total 182
+/// # TYPE power_evaluate_calls counter
+/// # HELP power_evaluate_calls qisim counter power.evaluate.calls
+/// power_evaluate_calls_total 182
 /// # TYPE cyclesim_makespan_ns histogram
 /// cyclesim_makespan_ns_bucket{le="1024"} 1
 /// cyclesim_makespan_ns_bucket{le="+Inf"} 2
@@ -717,21 +707,17 @@ mod tests {
     fn text_table_summary_footer_reports_health() {
         let r = Registry::new();
         r.counter_add("trace.dropped_events", 3);
-        r.counter_add("power.cache.hits", 9);
-        r.counter_add("power.cache.misses", 1);
         let t = text_table(&r.snapshot());
         assert!(t.contains("== summary =="), "{t}");
         assert!(t.contains("trace.dropped_events: 3"), "{t}");
-        assert!(t.contains("9 hits / 1 misses (90.0% hit rate)"), "{t}");
-        // Without the counters the footer still renders, with defaults.
+        // Without the counter the footer still renders, with a default.
         let t = text_table(&sample());
         assert!(t.contains("trace.dropped_events: 0"), "{t}");
-        assert!(t.contains("no lookups recorded"), "{t}");
     }
 
     #[test]
     fn metric_names_sanitize_to_openmetrics_charset() {
-        assert_eq!(sanitize_metric_name("power.cache.hits"), "power_cache_hits");
+        assert_eq!(sanitize_metric_name("power.evaluate.calls"), "power_evaluate_calls");
         assert_eq!(sanitize_metric_name("weird \"name\"\\path"), "weird__name__path");
         assert_eq!(sanitize_metric_name("4K.stage"), "_4K_stage");
         assert_eq!(sanitize_metric_name(""), "_");

@@ -3,7 +3,7 @@
 //! The general registry ([`crate::metrics::Registry`]) serializes every
 //! hit through one mutex and a `BTreeMap` walk — fine for a scrape, too
 //! expensive for a counter inside a power-bisection probe. Literal-name
-//! call sites (`counter!("power.cache.hits")`, `span!("power.evaluate")`)
+//! call sites (`counter!("power.evaluate.calls")`, `span!("power.max_qubits")`)
 //! don't need a map at runtime: the name is known at compile time, so the
 //! macro plants a per-call-site `static` handle that *interns* its slot
 //! on first use and afterwards costs one relaxed atomic op (counters,

@@ -194,10 +194,12 @@ pub fn armed() -> bool {
 }
 
 /// Starts the exporter thread writing to `path` every `interval`.
-/// Returns `false` (changing nothing) if an exporter is already running,
-/// the thread could not be spawned, or the `obs` feature is compiled
-/// out. The first write happens immediately, so the file exists as soon
-/// as the exporter is up.
+/// Returns `false` if an exporter is already running (changing
+/// nothing), the thread could not be spawned, or the `obs` feature is
+/// compiled out. The first write happens on the caller's thread before
+/// this returns, so the file exists as soon as the exporter is up and
+/// every later registry update lands in an interval the exporter will
+/// write.
 pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
     #[cfg(feature = "obs")]
     {
@@ -211,10 +213,14 @@ pub fn start(path: impl Into<PathBuf>, interval: Duration) -> bool {
             ctl: Mutex::new(Control { stop: false, flush_seq: 0, done_seq: 0 }),
             cv: Condvar::new(),
         });
+        // The baseline export: the interval it closes is the process so
+        // far, and its snapshot opens the thread's first interval.
+        let mut prev = crate::Snapshot::default();
+        export_once(&path, &mut prev, interval, 1);
         let (thread_shared, thread_path) = (Arc::clone(&shared), path.clone());
         let spawned = std::thread::Builder::new()
             .name("qisim-metrics".into())
-            .spawn(move || run(thread_shared, thread_path, interval));
+            .spawn(move || run(thread_shared, thread_path, interval, prev));
         match spawned {
             Ok(handle) => {
                 *slot = Some(Worker { shared, handle, path });
@@ -284,34 +290,35 @@ pub fn shutdown() -> Option<PathBuf> {
     }
 }
 
-/// The exporter thread: export, wait for interval/flush/stop, repeat;
-/// one final export on the way out.
+/// The exporter thread: [`start`] already wrote tick 1 and handed over
+/// its snapshot as `prev`, so the thread waits for interval/flush/stop,
+/// exports, and repeats; one final export on the way out.
 #[cfg(feature = "obs")]
-fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
-    let mut prev = crate::Snapshot::default();
-    let mut ticks = 0u64;
+fn run(shared: Arc<Shared>, path: PathBuf, interval: Duration, mut prev: crate::Snapshot) {
+    let mut ticks = 1u64;
+    let mut served = 0u64;
     let mut ctl = shared.lock();
     loop {
-        let serving = ctl.flush_seq;
-        let stopping = ctl.stop;
-        drop(ctl);
-        ticks += 1;
-        export_once(&path, &mut prev, interval, ticks);
-        ctl = shared.lock();
-        ctl.done_seq = ctl.done_seq.max(serving);
-        shared.cv.notify_all();
-        if stopping {
-            return;
-        }
         // Sleep until the interval elapses, a flush is requested, or a
         // stop arrives — whichever is first.
         let t0 = std::time::Instant::now();
-        while !ctl.stop && ctl.flush_seq == serving {
+        while !ctl.stop && ctl.flush_seq == served {
             let Some(remaining) = interval.checked_sub(t0.elapsed()) else { break };
             ctl = match shared.cv.wait_timeout(ctl, remaining) {
                 Ok((g, _)) => g,
                 Err(e) => e.into_inner().0,
             };
+        }
+        served = ctl.flush_seq;
+        let stopping = ctl.stop;
+        drop(ctl);
+        ticks += 1;
+        export_once(&path, &mut prev, interval, ticks);
+        ctl = shared.lock();
+        ctl.done_seq = ctl.done_seq.max(served);
+        shared.cv.notify_all();
+        if stopping {
+            return;
         }
     }
 }

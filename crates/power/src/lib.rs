@@ -25,12 +25,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod memo;
-
-pub use memo::{
-    cache_len, cache_stats, clear_cache, set_cache_cap, CacheStats, MemoKey, DEFAULT_CACHE_CAP,
-};
-
 use qisim_hal::fridge::{Fridge, Stage};
 use qisim_hal::wire::InstructionLink;
 use qisim_microarch::QciArch;
@@ -177,6 +171,11 @@ pub fn evaluate_with_link(
 
 /// Fallible [`evaluate_with_link`].
 ///
+/// Counted (`power.evaluate.calls`) but not timed: a span's two clock
+/// reads would add over 10% to an evaluation of ~1 µs, so its time is
+/// attributed to the enclosing `power.max_qubits` or `scalability.sweep`
+/// span instead.
+///
 /// # Errors
 ///
 /// Returns [`PowerError::NoQubits`] when `n_qubits == 0`.
@@ -189,7 +188,6 @@ pub fn try_evaluate_with_link(
     if n_qubits == 0 {
         return Err(PowerError::NoQubits);
     }
-    span!("power.evaluate");
     counter!("power.evaluate.calls");
     let stages = Stage::ALL
         .iter()
@@ -209,53 +207,11 @@ pub fn try_evaluate_with_link(
     Ok(PowerReport { n_qubits, stages })
 }
 
-/// [`evaluate_with_link`] through the process-global memo cache
-/// ([`memo`]): a repeated probe of the same `(design, qubit count)` —
-/// bisections re-run by the experiment suite, sweep grids shared across
-/// tests — returns the cached report instead of re-summing the inventory.
-///
-/// `key` must be `MemoKey::new(arch, fridge, link)` for the same triple;
-/// compute it once per design and reuse it across probes (fingerprinting
-/// costs more than a single evaluation).
-pub fn evaluate_memo(
-    key: MemoKey,
-    arch: &QciArch,
-    fridge: &Fridge,
-    n_qubits: u64,
-    link: &InstructionLink,
-) -> PowerReport {
-    // Allowlisted panic (tools/panic_allowlist.txt): infallible wrapper.
-    try_evaluate_memo(key, arch, fridge, n_qubits, link).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`evaluate_memo`].
-///
-/// # Errors
-///
-/// Returns [`PowerError::NoQubits`] when `n_qubits == 0` (zero-qubit
-/// probes are never cached).
-pub fn try_evaluate_memo(
-    key: MemoKey,
-    arch: &QciArch,
-    fridge: &Fridge,
-    n_qubits: u64,
-    link: &InstructionLink,
-) -> Result<PowerReport, PowerError> {
-    if let Some(report) = memo::lookup(key, n_qubits) {
-        return Ok(report);
-    }
-    let report = try_evaluate_with_link(arch, fridge, n_qubits, link)?;
-    memo::store(key, n_qubits, report.clone());
-    Ok(report)
-}
-
 /// The maximum qubit count the refrigerator can power for this design,
 /// and the stage that binds at that scale (§4.3 → Fig. 12/13/17).
 ///
 /// Binary search over qubit count (power is monotone in `n`). Every
-/// probe goes through the [`memo`] cache, so re-analyzing a design —
-/// the experiment suite does this constantly — replays the whole
-/// bisection from cache.
+/// probe is a direct [`try_evaluate_with_link`] (~24 probes per design).
 pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
     max_qubits_with_link(arch, fridge, &InstructionLink::standard())
 }
@@ -293,10 +249,10 @@ pub fn try_max_qubits_with_link(
     link: &InstructionLink,
 ) -> Result<(u64, Option<Stage>), PowerError> {
     span!("power.max_qubits");
-    let key = MemoKey::new(arch, fridge, link);
-    let probe = |n: u64| try_evaluate_memo(key, arch, fridge, n, link);
-    if !probe(1)?.fits() {
-        return Ok((0, probe(1)?.binding_stage()));
+    let probe = |n: u64| try_evaluate_with_link(arch, fridge, n, link);
+    let one = probe(1)?;
+    if !one.fits() {
+        return Ok((0, one.binding_stage()));
     }
     let mut lo = 1u64; // fits
     let mut hi = 2u64;
@@ -429,40 +385,11 @@ mod tests {
     }
 
     #[test]
-    fn memoized_probes_match_direct_evaluation() {
-        let arch = CryoCmosConfig::baseline().build();
-        let fridge = Fridge::standard();
-        let link = InstructionLink::standard();
-        let key = MemoKey::new(&arch, &fridge, &link);
-        for n in [1u64, 97, 1024, 4096] {
-            let direct = evaluate_with_link(&arch, &fridge, n, &link);
-            // First call fills the cache, second replays it; both must
-            // equal the uncached computation bit for bit.
-            assert_eq!(evaluate_memo(key, &arch, &fridge, n, &link), direct);
-            assert_eq!(evaluate_memo(key, &arch, &fridge, n, &link), direct);
-        }
-    }
-
-    #[test]
-    fn repeated_bisections_replay_from_cache() {
-        let arch = SfqConfig::baseline_rsfq().build();
-        let fridge = Fridge::standard();
-        let cold = max_qubits(&arch, &fridge);
-        let warm = max_qubits(&arch, &fridge);
-        assert_eq!(cold, warm);
-        assert!(cache_len() > 0, "bisection probes must populate the cache");
-    }
-
-    #[test]
     fn zero_qubits_is_a_typed_error() {
         let arch = CryoCmosConfig::baseline().build();
-        let fridge = Fridge::standard();
-        let link = InstructionLink::standard();
-        let err = try_evaluate(&arch, &fridge, 0).unwrap_err();
+        let err = try_evaluate(&arch, &Fridge::standard(), 0).unwrap_err();
         assert_eq!(err, PowerError::NoQubits);
         assert_eq!(err.to_string(), "need at least one qubit");
-        let key = MemoKey::new(&arch, &fridge, &link);
-        assert_eq!(try_evaluate_memo(key, &arch, &fridge, 0, &link), Err(PowerError::NoQubits));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | `/metrics` | OpenMetrics **delta** since the previous scrape            |
 //! | `/healthz` | `200 ok` while the process answers HTTP at all             |
 //! | `/readyz`  | `200 ready`, or `503` when stopping / the queue is full    |
-//! | `/statusz` | version, uptime, threads, queue, counters, memo cache, and |
+//! | `/statusz` | version, uptime, threads, queue, counters, and             |
 //! |            | per-engine-stage latency percentiles (plain text)          |
 //!
 //! The listener serves scrapers and probes, not browsers: HTTP/1.0 and
@@ -296,7 +296,6 @@ fn statusz(state: &AdminState) -> String {
     use std::fmt::Write as _;
     let status = &state.status;
     let stats = status.stats();
-    let memo = qisim_power::memo::cache_stats();
     let mut page = String::from("qisim-serve statusz\n");
     let _ = writeln!(page, "version = {}", env!("CARGO_PKG_VERSION"));
     let _ = writeln!(page, "uptime_s = {}", state.started.elapsed().as_secs());
@@ -308,18 +307,6 @@ fn statusz(state: &AdminState) -> String {
         page,
         "requests = {}; ok = {}; errors = {}; shed = {}",
         stats.requests, stats.ok, stats.errors, stats.shed
-    );
-    let _ = writeln!(
-        page,
-        "memo: hits = {}; misses = {}; hit_rate = {:.3}; len = {}; evictions = {}; \
-         bytes_est = {}; cap = {}",
-        memo.hits,
-        memo.misses,
-        memo.hit_rate(),
-        memo.len,
-        memo.evictions,
-        memo.bytes_est,
-        memo.cap
     );
     // Lifetime per-engine-stage latency percentiles, from the same span
     // histograms the OpenMetrics exporter publishes.
@@ -452,7 +439,6 @@ mod tests {
         assert!(body.contains("queue_depth = 2"), "{body}");
         assert!(body.contains("queue_cap = 8"), "{body}");
         assert!(body.contains("requests = 10; ok = 7; errors = 2; shed = 1"), "{body}");
-        assert!(body.contains("memo: hits = "), "{body}");
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //!   [`qisim::engine::try_analyze_spec`] of the same request.
 //! * **Batching.** Standard-fridge requests are grouped per roadmap
 //!   target and answered through [`qisim::engine::try_analyze_many`] —
-//!   one fan-out over the shared `qisim-par` pool per batch — and all
-//!   requests share the process-wide `qisim_power` memo cache, so a hot
-//!   working set answers from cache regardless of which client asked
-//!   first.
+//!   one fan-out over the shared `qisim-par` pool per batch.
 //! * **Requests fail; the process doesn't.** Malformed lines, invalid
 //!   knobs, and engine failures become typed `error` responses. A full
 //!   queue becomes a typed `busy` response (shed, counted under

@@ -10,9 +10,7 @@
 //! `qisim-par` pool per batch); budget-override, multi-fridge
 //! (`fridges = N`), traced, and Monte-Carlo-estimator (`estimator =
 //! sliced` / `rare`) requests run individually through the same staged
-//! engine. All paths share the process-wide `qisim_power::memo` LRU, so
-//! a hot working set answers from cache no matter which client asked
-//! first.
+//! engine.
 //!
 //! A request can never take the process down: malformed lines, invalid
 //! knobs, and engine failures all become typed `error` responses, and a

@@ -45,9 +45,9 @@ fn batch_ms(iters: usize, mut f: impl FnMut()) -> f64 {
 /// x-axis flavor: powers of two through the paper's long-term scale).
 const SWEEP_COUNTS: [u64; 9] = [64, 128, 256, 512, 1024, 2048, 4096, 16384, 65536];
 
-/// One iteration of the fixed sweep: a full utilization curve through
-/// the (warm) power memo — the steady-state production workload whose
-/// overhead budget the gate protects.
+/// One iteration of the fixed sweep: a full utilization curve — the
+/// steady-state production workload whose overhead budget the gate
+/// protects.
 fn sweep_once(design: &QciDesign) {
     std::hint::black_box(qisim::sweep(design, &SWEEP_COUNTS));
 }
@@ -93,7 +93,7 @@ fn main() {
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
     let baseline_verdict = engine::try_analyze(&design, &target).expect("warmup");
-    sweep_once(&design); // warm the power memo before any timing
+    sweep_once(&design); // warm up before any timing
 
     // 1. The gate: recording enabled but nothing armed must be free
     //    (<= 2% over the kill switch). Re-measure once before failing so

@@ -10,9 +10,9 @@
 //! 2. **4-fridge sweep throughput** — a fridges-to-reach-Q sweep over
 //!    every paper design at 2/4/8/16 fridges, reported as points/s.
 //! 3. **N = 1 overhead** — min-of-reps timing of the topology route vs
-//!    the direct route over memo-cached iterations; the wrapper must
-//!    cost <= 2% (the topology route *is* the classic code path when
-//!    `fridges == 1`, so anything above that is a regression).
+//!    the direct route over repeated analyses of one design; the wrapper
+//!    must cost <= 2% (the topology route *is* the classic code path
+//!    when `fridges == 1`, so anything above that is a regression).
 //!
 //! Run with `cargo run --release --example bench_scaleout`, or with
 //! `-- --smoke` for the CI gate (tiny reps, no artifact rewrite).
@@ -87,15 +87,15 @@ fn batch_ms(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// N = 1 overhead of the topology route vs the direct route, in percent,
-/// over memo-cached iterations. The two routes alternate batch-by-batch
-/// (direct, topology, direct, ...) and each takes its min over the reps,
-/// so clock-frequency drift and scheduler noise hit both symmetrically.
+/// over repeated analyses of one design. The two routes alternate
+/// batch-by-batch (direct, topology, direct, ...) and each takes its min
+/// over the reps, so clock-frequency drift and scheduler noise hit both
+/// symmetrically.
 fn measure_overhead_pct(reps: usize, iters: usize) -> (f64, f64, f64) {
     let design = QciDesign::cmos_baseline();
     let target = Target::near_term();
     let topology = FridgeTopology::standard();
-    // Warm the power memo cache so both routes measure the wrapper, not
-    // the bisection.
+    // Warm up once so neither route pays the first call's costs.
     let _ = engine::try_analyze(&design, &target).expect("warmup");
     let mut direct_ms = f64::INFINITY;
     let mut topo_ms = f64::INFINITY;
@@ -129,7 +129,6 @@ fn main() {
     // 2. Fridge-count sweep throughput (sharded power stage under the
     //    default thread pool).
     let fridge_counts: &[u32] = if smoke { &[2, 4] } else { &[2, 4, 8, 16] };
-    qisim::power::clear_cache();
     let started = Instant::now();
     let verdicts = sweep_points(fridge_counts);
     let sweep_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -148,9 +147,9 @@ fn main() {
         "every sweep point must carry a scale-out block"
     );
 
-    // 3. The N = 1 overhead gate, single-threaded and memo-cached. The
-    //    gate re-measures once before failing so a scheduler hiccup in
-    //    the first pass cannot fail the build.
+    // 3. The N = 1 overhead gate, single-threaded. The gate re-measures
+    //    once before failing so a scheduler hiccup in the first pass
+    //    cannot fail the build.
     qisim::par::set_threads(Some(1));
     let (reps, iters) = if smoke { (8, 128) } else { (24, 512) };
     let (mut direct_ms, mut topo_ms, mut overhead_pct) = measure_overhead_pct(reps, iters);
@@ -163,7 +162,7 @@ fn main() {
     qisim::par::set_threads(None);
     println!(
         "  n1 overhead: direct {direct_ms:.3} ms vs topology {topo_ms:.3} ms per {iters} \
-         memo-cached analyses -> {overhead_pct:+.2}%"
+         analyses -> {overhead_pct:+.2}%"
     );
     assert!(
         overhead_pct <= 2.0,
@@ -186,7 +185,7 @@ fn main() {
         json,
         "  \"workload\": \"multi-fridge scale-out: {points}-point fridges-to-reach-Q sweep \
          (8 paper designs x {:?} fridges over cryo coax) + single-threaded N=1 \
-         wrapper-overhead gate over {iters} memo-cached analyses x {reps} reps\",",
+         wrapper-overhead gate over {iters} analyses x {reps} reps\",",
         fridge_counts
     );
     let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");

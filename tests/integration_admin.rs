@@ -101,7 +101,6 @@ fn statusz_reports_service_and_stage_state() {
         "queue_depth = 0",
         "queue_cap = ",
         "requests = 1; ok = 1; errors = 0; shed = 0",
-        "memo: hits = ",
     ] {
         assert!(body.contains(want), "statusz missing {want:?}:\n{body}");
     }

@@ -22,9 +22,8 @@ fn legacy_analyze_on(design: &QciDesign, target: &Target, fridge: &Fridge) -> Sc
     let arch = design.arch();
     let (power_limited_qubits, binding_stage) = qisim::power::max_qubits(&arch, fridge);
     let link = InstructionLink::standard();
-    let key = qisim::power::MemoKey::new(&arch, fridge, &link);
     let stages =
-        qisim::power::evaluate_memo(key, &arch, fridge, power_limited_qubits.max(1), &link).stages;
+        qisim::power::evaluate_with_link(&arch, fridge, power_limited_qubits.max(1), &link).stages;
     let logical_error = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let target_error = target.logical_error_target();
     Scalability {
@@ -375,32 +374,44 @@ fn interconnect_can_bind_a_starved_stage() {
 }
 
 /// Sharded aggregation is deterministic: the verdict is bit-identical
-/// at every thread count, and bigger clusters scale linearly.
+/// at every thread count, its per-fridge yield is exactly one bisection
+/// on the effective (link-derated) fridge, and bigger clusters scale
+/// linearly. 64 fridges is the largest fleet the benchmark draws.
 #[test]
 fn sharded_power_stage_is_thread_count_independent() {
     use qisim::hal::topology::FridgeTopology;
     use qisim::spec::Estimator;
     let t = Target::near_term();
     let design = QciDesign::rsfq_near_term();
-    let topology = FridgeTopology::standard().with_fridges(6);
-    let baseline =
-        engine::try_analyze_topology(&design, &t, &topology, Estimator::Packed).expect("cluster");
-    for threads in [1usize, 2, 4] {
-        qisim::par::set_threads(Some(threads));
-        let v = engine::try_analyze_topology(&design, &t, &topology, Estimator::Packed)
+    let arch = design.arch();
+    for fridges in [6u32, 64] {
+        let topology = FridgeTopology::standard().with_fridges(fridges);
+        let baseline = engine::try_analyze_topology(&design, &t, &topology, Estimator::Packed)
             .expect("cluster");
-        assert_eq!(v, baseline, "{threads} threads");
+        for threads in [1usize, 2, 4] {
+            qisim::par::set_threads(Some(threads));
+            let v = engine::try_analyze_topology(&design, &t, &topology, Estimator::Packed)
+                .expect("cluster");
+            assert_eq!(v, baseline, "{fridges} fridges, {threads} threads");
+        }
+        qisim::par::set_threads(None);
+        let eff = topology.effective_fridge().expect("the links leave every stage some budget");
+        let (per_fridge, _) =
+            qisim::power::try_max_qubits_with_link(&arch, &eff, &InstructionLink::standard())
+                .expect("bisection");
+        let so = baseline.scale_out.as_ref().expect("multi-fridge verdict");
+        assert_eq!(so.per_fridge_qubits, per_fridge, "{fridges} fridges");
+        assert!(per_fridge > 0, "{fridges} fridges");
+        // Linear tiling: twice the fridges carry exactly twice the total.
+        let doubled = engine::try_analyze_topology(
+            &design,
+            &t,
+            &topology.with_fridges(2 * fridges),
+            Estimator::Packed,
+        )
+        .expect("cluster");
+        assert_eq!(doubled.power_limited_qubits, 2 * baseline.power_limited_qubits);
     }
-    qisim::par::set_threads(None);
-    // Linear tiling: 12 fridges carry exactly twice the 6-fridge total.
-    let doubled = engine::try_analyze_topology(
-        &design,
-        &t,
-        &topology.clone().with_fridges(12),
-        Estimator::Packed,
-    )
-    .expect("cluster");
-    assert_eq!(doubled.power_limited_qubits, 2 * baseline.power_limited_qubits);
 }
 
 /// Seeded randomized topologies round-trip the codec losslessly and
@@ -446,7 +457,7 @@ fn randomized_topologies_round_trip_and_never_panic() {
 }
 
 /// The per-stage watt attribution exposed by the plan equals the
-/// verdict's (same memoized probe, not a recomputation).
+/// verdict's (the same landing probe).
 #[test]
 fn plan_power_artifact_backs_the_verdict() {
     let mut plan =

@@ -80,14 +80,3 @@ fn experiment_suite_subset_is_bit_identical_across_thread_counts() {
     });
     assert!(rendered.contains("Fig. 14"));
 }
-
-#[test]
-fn power_memo_cache_does_not_change_results() {
-    let design = QciDesign::cmos_baseline();
-    let counts = [256u64, 512, 1024];
-    qisim::power::clear_cache();
-    let cold = sweep(&design, &counts);
-    assert!(qisim::power::cache_len() > 0, "sweep populates the memo cache");
-    let warm = sweep(&design, &counts);
-    assert_eq!(cold, warm, "cache replay must be bit-identical");
-}

@@ -1,16 +1,14 @@
 //! Integration tests for the live-telemetry layer at the facade level:
-//! delta snapshots over real workloads, the OpenMetrics exposition, the
-//! periodic exporter round trip, and the bounded power memo cache's
-//! bit-identity contract under thrash.
+//! delta snapshots over real workloads, the OpenMetrics exposition, and
+//! the periodic exporter round trip.
 
 use qisim::obs::{self, telemetry};
 use qisim::surface::target::Target;
 use qisim::{analyze, sweep, QciDesign};
 use std::sync::Mutex;
 
-/// The metrics registry, the exporter singleton, and the power memo
-/// cache are all process-global; tests touching them must not
-/// interleave.
+/// The metrics registry and the exporter singleton are process-global;
+/// tests touching them must not interleave.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -64,7 +62,7 @@ fn openmetrics_export_of_a_live_run_validates() {
     }
     // Counter, histogram, and span families all made it out, with
     // sanitized names.
-    assert!(text.contains("# TYPE power_cache_misses counter"));
+    assert!(text.contains("# TYPE power_evaluate_calls counter"));
     assert!(text.contains("power_bisection_iters_total"));
     assert!(text.contains("scalability_analyze_duration_ns_bucket"));
     assert!(text.contains("le=\"+Inf\""));
@@ -93,7 +91,7 @@ fn programmatic_exporter_round_trip_writes_interval_deltas() {
     let text = std::fs::read_to_string(&path).expect("exposition after flush");
     assert!(obs::openmetrics_is_well_formed(&text), "{text}");
     assert!(text.contains("telemetry_ticks_total"));
-    assert!(text.contains("power_cache_misses_total"));
+    assert!(text.contains("power_evaluate_calls_total"));
 
     let returned = telemetry::shutdown().expect("shutdown returns the path");
     assert_eq!(returned, path);
@@ -178,26 +176,4 @@ fn exporter_shutdown_flushes_the_final_partial_interval() {
     assert!(!path.with_extension("om.tmp").exists(), "atomic-rename left a temp file");
     let _ = std::fs::remove_file(&path);
     obs::reset();
-}
-
-/// The ISSUE acceptance check: at `QISIM_MEMO_CAP=8` (installed here via
-/// the runtime override) a 200-point sweep must evict, stay within
-/// bounds, and produce bit-identical results to the unbounded cache.
-#[test]
-fn bounded_memo_cache_thrash_is_bit_identical() {
-    let _l = lock();
-    let counts: Vec<u64> = (1..=200u64).map(|i| 8 * i).collect();
-
-    qisim::power::set_cache_cap(Some(8));
-    qisim::power::clear_cache();
-    let bounded = sweep(&QciDesign::cmos_baseline(), &counts);
-    let stats = qisim::power::cache_stats();
-    assert!(stats.evictions > 0, "200 distinct points at cap 8 must evict: {stats:?}");
-    assert!(qisim::power::cache_len() <= 8, "cache exceeded its cap");
-
-    qisim::power::set_cache_cap(None);
-    qisim::power::clear_cache();
-    let unbounded = sweep(&QciDesign::cmos_baseline(), &counts);
-    assert_eq!(bounded, unbounded, "cache bounding changed the science");
-    qisim::power::clear_cache();
 }

@@ -29,9 +29,9 @@
 #   8. telemetry exporter smoke run: the observe example's --watch mode
 #      under QISIM_METRICS + QISIM_THREADS=2 must self-validate its
 #      OpenMetrics exposition (openmetrics_is_well_formed) and leave a
-#      file with TYPE headers, histogram _bucket series, and the memo
-#      cache counters; the determinism suite then re-runs with the
-#      exporter armed to prove scraping never perturbs results
+#      file with TYPE headers, histogram _bucket series, and the power
+#      layer's evaluation counter; the determinism suite then re-runs
+#      with the exporter armed to prove scraping never perturbs results
 #   9. Monte-Carlo bench smoke run: bench_mc --smoke checks the packed
 #      kernel against the bool-vec reference bit for bit, the parallel
 #      estimators (packed AND bit-sliced) across thread counts, the
@@ -131,10 +131,10 @@ echo "== [8/14] telemetry exporter smoke run =="
 grep -q "openmetrics export: well-formed" "$out/watch.txt"
 grep -q "engine.stage.power: p50" "$out/watch.txt"
 # The file on disk carries typed families, histogram series, and the
-# memo-cache counters the bounded LRU publishes.
+# evaluation counter the power layer publishes.
 grep -q "# TYPE" "$out/metrics.om"
 grep -q "_bucket" "$out/metrics.om"
-grep -q "power_cache_hits" "$out/metrics.om"
+grep -q "power_evaluate_calls" "$out/metrics.om"
 grep -q "# EOF" "$out/metrics.om"
 # Determinism with the exporter armed: scraping must never perturb the
 # science.
