@@ -47,7 +47,7 @@ use qisim_hal::wire::InstructionLink;
 use qisim_microarch::cryo_cmos::EsmProfile;
 use qisim_microarch::QciArch;
 use qisim_obs::{counter, gauge, span};
-use qisim_power::{PowerError, StagePower};
+use qisim_power::{PowerCurve, PowerError, StagePower};
 use qisim_surface::analytic::CALIBRATION;
 use qisim_surface::montecarlo::{logical_error_rate_rare, logical_error_rate_sliced_par};
 use qisim_surface::target::{Target, CODE_DISTANCE};
@@ -343,18 +343,19 @@ impl AnalysisPlan {
         Ok(Some(stage))
     }
 
-    /// The classic single-fridge power stage: bisect the power-limited
-    /// scale and re-evaluate the landing probe for the per-stage
-    /// attribution. This path is bit-identical to the pre-topology
-    /// pipeline (the N=1 identity gate in `tests/integration_engine.rs`
-    /// pins it).
+    /// The classic single-fridge power stage: compile the design's power
+    /// curve, bisect the power-limited scale and re-evaluate the landing
+    /// probe for the per-stage attribution. This path is bit-identical
+    /// to the pre-topology pipeline (the N=1 identity gate in
+    /// `tests/integration_engine.rs` pins it).
     fn run_power_single(&mut self) -> Result<(), QisimError> {
         let design = self.design;
         let arch = self.inventory.get_or_insert_with(|| design.arch());
+        let curve = PowerCurve::compile(arch, &self.link);
         let fridge = self.topology.fridge();
-        let (n, binding) = qisim_power::try_max_qubits_with_link(arch, fridge, &self.link)?;
-        let stages =
-            qisim_power::try_evaluate_with_link(arch, fridge, n.max(1), &self.link)?.stages;
+        let (n, binding) = curve.max_qubits(fridge);
+        counter!("power.evaluate.calls");
+        let stages = curve.evaluate(n.max(1), fridge)?.stages;
         self.power =
             Some(PowerArtifact { power_limited_qubits: n, binding_stage: binding, stages });
         Ok(())
@@ -364,13 +365,16 @@ impl AnalysisPlan {
     /// interconnect heat, bisect the per-fridge scale once (the fridges
     /// are identical, so every fridge lands on the same probe), and
     /// aggregate the cluster verdict plus its [`ScaleOut`] attribution.
+    /// One compiled power curve serves the bisection on the derated
+    /// fridge and the attribution on the real one.
     fn run_power_sharded(&mut self) -> Result<(), QisimError> {
         let design = self.design;
         let arch: &QciArch = self.inventory.get_or_insert_with(|| design.arch());
+        let curve = PowerCurve::compile(arch, &self.link);
         let fridges = self.topology.fridges();
         counter!("engine.fridge.shards", fridges as u64);
         let (per_fridge, binding) = match self.topology.effective_fridge() {
-            Some(eff) => qisim_power::try_max_qubits_with_link(arch, &eff, &self.link)?,
+            Some(eff) => curve.max_qubits(&eff),
             // The interconnect eats some stage's budget whole: zero
             // qubits per fridge, and the worst-loaded stage (total_cmp
             // ordering inside worst_link_stage) names the culprit.
@@ -379,10 +383,8 @@ impl AnalysisPlan {
         // Attribute per-stage watts at the per-fridge yield against the
         // *real* budgets; the interconnect share is itemized separately
         // in the ScaleOut block.
-        let fridge = self.topology.fridge();
-        let stages =
-            qisim_power::try_evaluate_with_link(arch, fridge, per_fridge.max(1), &self.link)?
-                .stages;
+        counter!("power.evaluate.calls");
+        let stages = curve.evaluate(per_fridge.max(1), self.topology.fridge())?.stages;
         let mut interconnect_w = [0.0; 5];
         for (i, &stage) in Stage::ALL.iter().enumerate() {
             interconnect_w[i] = self.topology.interconnect_w(stage);
@@ -438,8 +440,14 @@ impl AnalysisPlan {
             if self.topology.shared_controllers() { 1.0 } else { 0.0 }
         );
         gauge!("engine.fridge.qubits", per_fridge as f64);
-        for (i, &stage) in Stage::ALL.iter().enumerate() {
-            gauge!(format!("topology.interconnect.{}_w", stage.label()), interconnect_w[i]);
+        for (&stage, &w) in Stage::ALL.iter().zip(interconnect_w) {
+            match stage {
+                Stage::K50 => gauge!("topology.interconnect.50K_w", w),
+                Stage::K4 => gauge!("topology.interconnect.4K_w", w),
+                Stage::K1 => gauge!("topology.interconnect.1K_w", w),
+                Stage::Mk100 => gauge!("topology.interconnect.100mK_w", w),
+                Stage::Mk20 => gauge!("topology.interconnect.20mK_w", w),
+            }
         }
     }
 
@@ -671,7 +679,12 @@ pub fn try_analyze_many(
 }
 
 /// Fallible [`crate::scalability::sweep`]: validates the design and the
-/// qubit counts, then evaluates the utilization curve in parallel.
+/// qubit counts, compiles the design's [`PowerCurve`] once, then
+/// evaluates it at every count.
+///
+/// Points run serially on the caller's thread: one compiled point costs
+/// well under a microsecond, less than handing it to a pool worker, so a
+/// parallel map would only add overhead.
 ///
 /// # Errors
 ///
@@ -685,28 +698,29 @@ pub fn try_sweep(design: &QciDesign, qubit_counts: &[u64]) -> Result<Vec<SweepPo
     }
     span!("scalability.sweep");
     counter!("scalability.sweep.points", qubit_counts.len() as u64);
-    let arch = design.arch();
+    counter!("power.evaluate.calls", qubit_counts.len() as u64);
+    let curve = PowerCurve::compile(&design.arch(), &InstructionLink::standard());
     let fridge = Fridge::standard();
-    let link = InstructionLink::standard();
     let p_l = design.physical_budget().logical_error(CODE_DISTANCE, &CALIBRATION);
     let util = |r: &qisim_power::PowerReport, stage: Stage| {
         r.stage(stage).map_or(0.0, StagePower::utilization)
     };
-    qisim_par::par_map(qubit_counts, |&n| {
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
-        }
-        let r = qisim_power::try_evaluate_with_link(&arch, &fridge, n, &link)?;
-        Ok(SweepPoint {
-            qubits: n,
-            power_w: r.stages.iter().map(StagePower::total_w).sum(),
-            util_4k: util(&r, Stage::K4),
-            util_mk: util(&r, Stage::Mk100).max(util(&r, Stage::Mk20)),
-            logical_error: p_l,
+    qubit_counts
+        .iter()
+        .map(|&n| {
+            if qisim_obs::trace::armed() {
+                qisim_obs::trace::instant("scalability.sweep.point", &[("qubits", n as f64)]);
+            }
+            let r = curve.evaluate(n, &fridge)?;
+            Ok(SweepPoint {
+                qubits: n,
+                power_w: r.stages.iter().map(StagePower::total_w).sum(),
+                util_4k: util(&r, Stage::K4),
+                util_mk: util(&r, Stage::Mk100).max(util(&r, Stage::Mk20)),
+                logical_error: p_l,
+            })
         })
-    })
-    .into_iter()
-    .collect()
+        .collect()
 }
 
 #[cfg(test)]

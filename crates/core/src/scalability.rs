@@ -336,9 +336,9 @@ impl SweepPoint {
 /// Per-stage utilization curve for scalability plots (Fig. 12/13/17),
 /// one [`SweepPoint`] per requested qubit count.
 ///
-/// Points are evaluated **in parallel** on the [`qisim_par`] pool (one
-/// design point per task); the returned rows are always in
-/// `qubit_counts` order, independent of thread count.
+/// The design's power curve is compiled once and evaluated at each count
+/// **serially**, in `qubit_counts` order: a compiled point costs less
+/// than dispatching it to the [`qisim_par`] pool would.
 ///
 /// A stage absent from a report (a custom fridge or architecture that
 /// doesn't model it) contributes utilization 0 rather than panicking.

@@ -86,14 +86,23 @@ pub struct Component {
 }
 
 impl Component {
+    /// Qubits sharing one instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits_per_instance` is not positive.
+    pub fn sharing(&self) -> f64 {
+        assert!(self.qubits_per_instance > 0.0, "sharing must be positive");
+        self.qubits_per_instance
+    }
+
     /// Number of instances needed for `n_qubits` (ceiling division).
     ///
     /// # Panics
     ///
     /// Panics if `qubits_per_instance` is not positive.
     pub fn instances(&self, n_qubits: u64) -> f64 {
-        assert!(self.qubits_per_instance > 0.0, "sharing must be positive");
-        (n_qubits as f64 / self.qubits_per_instance).ceil()
+        (n_qubits as f64 / self.sharing()).ceil()
     }
 
     /// Static power of **one instance**, in watts.
@@ -171,19 +180,34 @@ pub struct WirePlan {
 }
 
 impl WirePlan {
-    /// Cables needed for `n_qubits`.
-    pub fn cables(&self, n_qubits: u64) -> f64 {
+    /// Qubits served per cable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubits_per_cable` is not positive.
+    pub fn sharing(&self) -> f64 {
         assert!(self.qubits_per_cable > 0.0, "sharing must be positive");
-        (n_qubits as f64 / self.qubits_per_cable).ceil()
+        self.qubits_per_cable
     }
 
-    /// Total heat load of the group at one stage for `n_qubits`, in watts.
+    /// Cables needed for `n_qubits`.
+    pub fn cables(&self, n_qubits: u64) -> f64 {
+        (n_qubits as f64 / self.sharing()).ceil()
+    }
+
+    /// Whether the group's cables reach `stage` at all.
     ///
     /// Wires that cannot span room temperature (the superconducting 4K–mK
     /// interconnects) originate at the 4 K stage: they load only the
     /// stages *below* their anchor (100 mK and 20 mK), never 4 K itself.
+    pub fn loads(&self, stage: Stage) -> bool {
+        self.kind.spans_room_to_mk() || matches!(stage, Stage::Mk100 | Stage::Mk20)
+    }
+
+    /// Total heat load of the group at one stage for `n_qubits`, in watts
+    /// (zero at a stage the cables do not reach, see [`WirePlan::loads`]).
     pub fn load_w(&self, stage: Stage, n_qubits: u64) -> f64 {
-        if !self.kind.spans_room_to_mk() && !matches!(stage, Stage::Mk100 | Stage::Mk20) {
+        if !self.loads(stage) {
             return 0.0;
         }
         self.cables(n_qubits) * self.kind.load_w(stage, self.duty)

@@ -11,6 +11,17 @@ const BUCKETS_PER_OCTAVE: usize = 8;
 /// bucket. 2^50 ns ≈ 13 days, far past any span we time.
 const OCTAVES: usize = 50;
 const N_BUCKETS: usize = BUCKETS_PER_OCTAVE * OCTAVES;
+/// Sub-bucket lower edges within one octave: `2^(k/8)` for `k = 1..=7`,
+/// each the nearest `f64`.
+const OCTAVE_EDGES: [f64; BUCKETS_PER_OCTAVE - 1] = [
+    1.090_507_732_665_257_7,
+    1.189_207_115_002_721,
+    1.296_839_554_651_009_6,
+    std::f64::consts::SQRT_2,
+    1.542_210_825_407_940_7,
+    1.681_792_830_507_429,
+    1.834_008_086_409_342_4,
+];
 
 /// A fixed-memory log-bucketed histogram over non-negative samples.
 ///
@@ -57,12 +68,21 @@ impl Histogram {
         }
     }
 
+    /// `floor(8·log2(v))`, clamped to the top bucket, for finite `v`;
+    /// `None` below 1. Read off the float's bits instead of calling
+    /// `log2`: a `v ≥ 1` is normal, so its unbiased exponent is the
+    /// octave and its mantissa, scaled into `[1, 2)`, picks the
+    /// sub-bucket among [`OCTAVE_EDGES`].
     fn bucket_index(v: f64) -> Option<usize> {
         if v < 1.0 {
             return None; // underflow bucket
         }
-        let idx = (v.log2() * BUCKETS_PER_OCTAVE as f64).floor() as usize;
-        Some(idx.min(N_BUCKETS - 1))
+        const MANTISSA: u64 = (1 << 52) - 1;
+        let bits = v.to_bits();
+        let octave = ((bits >> 52) - 1023) as usize;
+        let mantissa = f64::from_bits((bits & MANTISSA) | (1023 << 52));
+        let sub = OCTAVE_EDGES.iter().filter(|&&edge| mantissa >= edge).count();
+        Some((octave * BUCKETS_PER_OCTAVE + sub).min(N_BUCKETS - 1))
     }
 
     /// Lower edge of bucket `i`.
@@ -250,6 +270,52 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `log2` formula the bit-level bucket index replaced.
+    fn log2_bucket_index(v: f64) -> Option<usize> {
+        if v < 1.0 {
+            return None;
+        }
+        let idx = (v.log2() * BUCKETS_PER_OCTAVE as f64).floor() as usize;
+        Some(idx.min(N_BUCKETS - 1))
+    }
+
+    #[test]
+    fn octave_edges_are_the_eighth_roots_of_two() {
+        for (k, &edge) in OCTAVE_EDGES.iter().enumerate() {
+            let exact = 2f64.powf((k + 1) as f64 / BUCKETS_PER_OCTAVE as f64);
+            assert!((edge - exact).abs() <= f64::EPSILON * exact, "edge {k}: {edge} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn bit_level_bucket_index_matches_the_log2_formula() {
+        for i in 1..=1u64 << 20 {
+            let v = i as f64;
+            assert_eq!(Histogram::bucket_index(v), log2_bucket_index(v), "v = {v}");
+        }
+        // Random finite values >= 1: a random mantissa under a random
+        // exponent, half of them in the 64 octaves around the clamp and
+        // half anywhere up to f64::MAX (SplitMix64 stream).
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..1_000_000 {
+            let r = next();
+            let exponent = 1023 + if r & 1 == 0 { (r >> 1) % 64 } else { (r >> 1) % 1024 };
+            let v = f64::from_bits((exponent << 52) | (next() & ((1 << 52) - 1)));
+            assert!(v.is_finite() && v >= 1.0);
+            assert_eq!(Histogram::bucket_index(v), log2_bucket_index(v), "v = {v:e}");
+        }
+        for v in [1.0, 2.0, f64::MAX, 0.999_999, 0.0, -3.0] {
+            assert_eq!(Histogram::bucket_index(v), log2_bucket_index(v), "v = {v:e}");
+        }
+    }
 
     #[test]
     fn empty_histogram_reports_nan() {

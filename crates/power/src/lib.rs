@@ -6,6 +6,12 @@
 //! loads, and 300K→4K instruction-link heat per refrigerator stage, and
 //! checks the totals against the dilution refrigerator's cooling budgets.
 //!
+//! [`PowerCurve`] is the one implementation of that sum. It compiles a
+//! design once into flat per-stage `ceil(n/k)·w` terms; evaluations and
+//! the [`PowerCurve::max_qubits`] bisection then cost a few divisions per
+//! term. The free functions ([`evaluate`], [`max_qubits`], and their
+//! `try_*`/`*_with_link` forms) compile a curve and call it once.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,6 +26,16 @@
 //! let (max, binding) = max_qubits(&arch, &fridge);
 //! assert!(max < 1024);     // ...at the 4 K stage (Fig. 13a)
 //! assert_eq!(binding, Some(Stage::K4));
+//!
+//! // Compile once, then evaluate many points (a utilization curve).
+//! use qisim_hal::wire::InstructionLink;
+//! use qisim_power::PowerCurve;
+//! let curve = PowerCurve::compile(&arch, &InstructionLink::standard());
+//! assert_eq!(curve.max_qubits(&fridge), (max, binding));
+//! for n in [64, 256, 1024] {
+//!     assert_eq!(curve.evaluate(n, &fridge)?, evaluate(&arch, &fridge, n));
+//! }
+//! # Ok::<(), qisim_power::PowerError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -128,6 +144,254 @@ impl PowerReport {
     }
 }
 
+/// One device term of a stage sum: `ceil(n / qubits_per_instance)`
+/// instances, each dissipating `static_w` + `dynamic_w`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DeviceTerm {
+    qubits_per_instance: f64,
+    static_w: f64,
+    dynamic_w: f64,
+}
+
+/// One cable term of a stage sum: `ceil(n / qubits_per_cable)` cables,
+/// each leaking `load_w`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WireTerm {
+    qubits_per_cable: f64,
+    load_w: f64,
+}
+
+/// A design's power model compiled for repeated evaluation.
+///
+/// Power at one stage is a sum of `ceil(n/k)·w` terms (§4.3, Table 2):
+/// per-instance device watts, per-cable heat loads, plus the 4 K
+/// instruction link, which is linear in `n`. Compiling derives every
+/// term's HAL watts once and lays the terms out flat, stage by stage in
+/// [`Stage::ALL`] order, components and wires in inventory order. An
+/// evaluation is then one division per term, with no allocation unless
+/// a [`PowerReport`] is asked for. The fridge budgets are taken at
+/// evaluation, so one curve serves the standard fridge, budget overrides
+/// and a topology's derated fridge alike.
+///
+/// Results are bit-identical to the direct
+/// [`QciArch::device_static_w`]/[`QciArch::device_dynamic_w`]/
+/// [`QciArch::wire_load_w`] sums. Those add an `instances × 0.0` term
+/// for every component at another stage and a `0.0` for every wire
+/// that does not reach the stage. Wherever they fall in the sum, such
+/// terms can only turn a `-0.0` total into `+0.0` (or, for an
+/// instance count that overflows to infinity, into NaN). So each stage
+/// ends with one zero-watt padding term that does the same: for
+/// devices at the smallest sharing among the other stages' components,
+/// for wires at sharing 1.
+///
+/// # Examples
+///
+/// ```
+/// use qisim_hal::fridge::{Fridge, Stage};
+/// use qisim_hal::wire::InstructionLink;
+/// use qisim_microarch::CryoCmosConfig;
+/// use qisim_power::PowerCurve;
+///
+/// let arch = CryoCmosConfig::baseline().build();
+/// let curve = PowerCurve::compile(&arch, &InstructionLink::standard());
+/// let fridge = Fridge::standard();
+/// let (max, binding) = curve.max_qubits(&fridge);
+/// assert_eq!(binding, Some(Stage::K4));
+/// assert!(curve.evaluate(max, &fridge)?.fits());
+/// assert!(!curve.evaluate(max + 1, &fridge)?.fits());
+/// // The same curve against a fridge with twice the 4 K budget.
+/// let big = Fridge::standard().with_budget(Stage::K4, 3.0);
+/// assert!(curve.max_qubits(&big).0 > max);
+/// # Ok::<(), qisim_power::PowerError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PowerCurve {
+    /// Device terms of every stage; stage `i` owns
+    /// `devices[device_ends[i - 1]..device_ends[i]]`.
+    devices: Vec<DeviceTerm>,
+    device_ends: [usize; 5],
+    /// Cable terms, laid out like `devices`.
+    wires: Vec<WireTerm>,
+    wire_ends: [usize; 5],
+    link: InstructionLink,
+    instr_bandwidth_bps_per_qubit: f64,
+}
+
+impl PowerCurve {
+    /// Compiles `arch`'s per-stage terms with the given instruction link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a component or wire group has a non-positive sharing
+    /// (the same contract as [`qisim_microarch::inventory::Component::instances`]).
+    pub fn compile(arch: &QciArch, link: &InstructionLink) -> PowerCurve {
+        let mut devices = Vec::with_capacity(arch.components.len() + Stage::ALL.len());
+        let mut wires = Vec::new();
+        let (mut device_ends, mut wire_ends) = ([0; 5], [0; 5]);
+        for (i, &stage) in Stage::ALL.iter().enumerate() {
+            let mut pad: Option<f64> = None;
+            for c in &arch.components {
+                let k = c.sharing();
+                if c.stage == stage {
+                    devices.push(DeviceTerm {
+                        qubits_per_instance: k,
+                        static_w: c.static_power_w(),
+                        dynamic_w: c.dynamic_power_w(arch.clock_hz),
+                    });
+                } else {
+                    pad = Some(pad.map_or(k, |p| p.min(k)));
+                }
+            }
+            if let Some(k) = pad {
+                devices.push(DeviceTerm { qubits_per_instance: k, static_w: 0.0, dynamic_w: 0.0 });
+            }
+            device_ends[i] = devices.len();
+            let mut skipped = false;
+            for w in &arch.wires {
+                if w.loads(stage) {
+                    wires.push(WireTerm {
+                        qubits_per_cable: w.sharing(),
+                        load_w: w.kind.load_w(stage, w.duty),
+                    });
+                } else {
+                    skipped = true;
+                }
+            }
+            if skipped {
+                wires.push(WireTerm { qubits_per_cable: 1.0, load_w: 0.0 });
+            }
+            wire_ends[i] = wires.len();
+        }
+        PowerCurve {
+            devices,
+            device_ends,
+            wires,
+            wire_ends,
+            link: *link,
+            instr_bandwidth_bps_per_qubit: arch.instr_bandwidth_bps_per_qubit,
+        }
+    }
+
+    /// The accounting row of stage `i` (index into [`Stage::ALL`]) at
+    /// `n_qubits`, against `budget_w`.
+    fn stage_power(&self, i: usize, n_qubits: u64, budget_w: f64) -> StagePower {
+        let n = n_qubits as f64;
+        let stage = Stage::ALL[i];
+        // Start where `Iterator::sum` starts, so empty sums keep their sign.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let start = if i == 0 { 0 } else { self.device_ends[i - 1] };
+        let (mut device_static_w, mut device_dynamic_w) = (zero, zero);
+        for t in &self.devices[start..self.device_ends[i]] {
+            let instances = (n / t.qubits_per_instance).ceil();
+            device_static_w += instances * t.static_w;
+            device_dynamic_w += instances * t.dynamic_w;
+        }
+        let start = if i == 0 { 0 } else { self.wire_ends[i - 1] };
+        let mut wire_w = zero;
+        for t in &self.wires[start..self.wire_ends[i]] {
+            wire_w += (n / t.qubits_per_cable).ceil() * t.load_w;
+        }
+        let instr_link_w = if stage == Stage::K4 {
+            self.link.power_4k_w(self.instr_bandwidth_bps_per_qubit * n)
+        } else {
+            0.0
+        };
+        StagePower { stage, device_static_w, device_dynamic_w, wire_w, instr_link_w, budget_w }
+    }
+
+    /// Whether every stage fits its budget at `n_qubits`.
+    fn fits(&self, n_qubits: u64, budgets_w: &[f64; 5]) -> bool {
+        (0..Stage::ALL.len()).all(|i| self.stage_power(i, n_qubits, budgets_w[i]).fits())
+    }
+
+    fn report(&self, n_qubits: u64, budgets_w: &[f64; 5]) -> PowerReport {
+        let stages = (0..Stage::ALL.len()).map(|i| self.stage_power(i, n_qubits, budgets_w[i]));
+        PowerReport { n_qubits, stages: stages.collect() }
+    }
+
+    /// The per-stage power report at `n_qubits` against `fridge`.
+    ///
+    /// Not counted in `power.evaluate.calls`: callers that evaluate many
+    /// points add their count once (see [`try_evaluate_with_link`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerError::NoQubits`] when `n_qubits == 0`.
+    pub fn evaluate(&self, n_qubits: u64, fridge: &Fridge) -> Result<PowerReport, PowerError> {
+        if n_qubits == 0 {
+            return Err(PowerError::NoQubits);
+        }
+        Ok(self.report(n_qubits, &fridge.budgets_w()))
+    }
+
+    /// The maximum qubit count `fridge` can power, and the stage that
+    /// binds at that scale (§4.3 → Fig. 12/13/17).
+    ///
+    /// Power is monotone in `n`, so the search doubles from 1 until a
+    /// probe fails, then bisects; a design that still fits past 2^40
+    /// qubits is reported as unbounded (`binding` = `None`). Probes only
+    /// test [`PowerReport::fits`] and allocate nothing. The probe count
+    /// is added to `power.evaluate.calls` and the loop count to
+    /// `power.bisection.iters` once per search, and the landing point's
+    /// per-stage watts are published as `power.stage.<label>.*` gauges.
+    pub fn max_qubits(&self, fridge: &Fridge) -> (u64, Option<Stage>) {
+        span!("power.max_qubits");
+        let (mut probes, mut iters) = (0u64, 0u64);
+        let found = self.bisect(&fridge.budgets_w(), &mut probes, &mut iters);
+        counter!("power.evaluate.calls", probes);
+        counter!("power.bisection.iters", iters);
+        found
+    }
+
+    fn bisect(
+        &self,
+        budgets_w: &[f64; 5],
+        probes: &mut u64,
+        iters: &mut u64,
+    ) -> (u64, Option<Stage>) {
+        let trace_probe = |n: u64| {
+            if qisim_obs::trace::armed() {
+                qisim_obs::trace::instant("power.bisection.probe", &[("qubits", n as f64)]);
+            }
+        };
+        let mut fits = |n: u64| {
+            *probes += 1;
+            self.fits(n, budgets_w)
+        };
+        if !fits(1) {
+            return (0, self.report(1, budgets_w).binding_stage());
+        }
+        let mut lo = 1u64; // fits
+        let mut hi = 2u64;
+        while fits(hi) {
+            *iters += 1;
+            trace_probe(hi);
+            lo = hi;
+            hi *= 2;
+            if hi > 1 << 40 {
+                return (lo, None); // effectively unbounded by power
+            }
+        }
+        while hi - lo > 1 {
+            *iters += 1;
+            let mid = lo + (hi - lo) / 2;
+            trace_probe(mid);
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        *probes += 1;
+        let binding = self.report(hi, budgets_w).binding_stage();
+        if qisim_obs::enabled() {
+            *probes += 1;
+            record_stage_gauges(&self.report(lo, budgets_w));
+        }
+        (lo, binding)
+    }
+}
+
 /// Evaluates a design's per-stage power at `n_qubits` using the standard
 /// 6 Gb/s instruction link.
 ///
@@ -169,12 +433,13 @@ pub fn evaluate_with_link(
     try_evaluate_with_link(arch, fridge, n_qubits, link).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`evaluate_with_link`].
+/// Fallible [`evaluate_with_link`]: compiles a [`PowerCurve`] and
+/// evaluates it once. Callers evaluating one design at many points
+/// should compile the curve themselves.
 ///
 /// Counted (`power.evaluate.calls`) but not timed: a span's two clock
-/// reads would add over 10% to an evaluation of ~1 µs, so its time is
-/// attributed to the enclosing `power.max_qubits` or `scalability.sweep`
-/// span instead.
+/// reads would add over 10% to one evaluation, so its time is
+/// attributed to the enclosing span instead.
 ///
 /// # Errors
 ///
@@ -189,29 +454,12 @@ pub fn try_evaluate_with_link(
         return Err(PowerError::NoQubits);
     }
     counter!("power.evaluate.calls");
-    let stages = Stage::ALL
-        .iter()
-        .map(|&stage| StagePower {
-            stage,
-            device_static_w: arch.device_static_w(stage, n_qubits),
-            device_dynamic_w: arch.device_dynamic_w(stage, n_qubits),
-            wire_w: arch.wire_load_w(stage, n_qubits),
-            instr_link_w: if stage == Stage::K4 {
-                link.power_4k_w(arch.instr_bandwidth_bps(n_qubits))
-            } else {
-                0.0
-            },
-            budget_w: fridge.budget_w(stage),
-        })
-        .collect();
-    Ok(PowerReport { n_qubits, stages })
+    PowerCurve::compile(arch, link).evaluate(n_qubits, fridge)
 }
 
 /// The maximum qubit count the refrigerator can power for this design,
-/// and the stage that binds at that scale (§4.3 → Fig. 12/13/17).
-///
-/// Binary search over qubit count (power is monotone in `n`). Every
-/// probe is a direct [`try_evaluate_with_link`] (~24 probes per design).
+/// and the stage that binds at that scale (§4.3 → Fig. 12/13/17); see
+/// [`PowerCurve::max_qubits`].
 pub fn max_qubits(arch: &QciArch, fridge: &Fridge) -> (u64, Option<Stage>) {
     max_qubits_with_link(arch, fridge, &InstructionLink::standard())
 }
@@ -238,7 +486,8 @@ pub fn max_qubits_with_link(
     try_max_qubits_with_link(arch, fridge, link).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`max_qubits_with_link`].
+/// Fallible [`max_qubits_with_link`]: compiles a [`PowerCurve`] and
+/// runs one [`PowerCurve::max_qubits`].
 ///
 /// # Errors
 ///
@@ -248,58 +497,82 @@ pub fn try_max_qubits_with_link(
     fridge: &Fridge,
     link: &InstructionLink,
 ) -> Result<(u64, Option<Stage>), PowerError> {
-    span!("power.max_qubits");
-    let probe = |n: u64| try_evaluate_with_link(arch, fridge, n, link);
-    let one = probe(1)?;
-    if !one.fits() {
-        return Ok((0, one.binding_stage()));
-    }
-    let mut lo = 1u64; // fits
-    let mut hi = 2u64;
-    while probe(hi)?.fits() {
-        counter!("power.bisection.iters");
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("power.bisection.probe", &[("qubits", hi as f64)]);
-        }
-        lo = hi;
-        hi *= 2;
-        if hi > 1 << 40 {
-            return Ok((lo, None)); // effectively unbounded by power
-        }
-    }
-    while hi - lo > 1 {
-        counter!("power.bisection.iters");
-        let mid = lo + (hi - lo) / 2;
-        if qisim_obs::trace::armed() {
-            qisim_obs::trace::instant("power.bisection.probe", &[("qubits", mid as f64)]);
-        }
-        if probe(mid)?.fits() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let binding = probe(hi)?.binding_stage();
-    record_stage_gauges(&probe(lo.max(1))?);
-    Ok((lo, binding))
+    Ok(PowerCurve::compile(arch, link).max_qubits(fridge))
+}
+
+/// Sets the seven `power.stage.<label>.*` gauges of one stage row.
+macro_rules! stage_gauges {
+    ($s:expr, $static:literal, $dynamic:literal, $wire:literal, $link:literal,
+     $total:literal, $budget:literal, $util:literal) => {{
+        let s: &StagePower = $s;
+        gauge!($static, s.device_static_w);
+        gauge!($dynamic, s.device_dynamic_w);
+        gauge!($wire, s.wire_w);
+        gauge!($link, s.instr_link_w);
+        gauge!($total, s.total_w());
+        gauge!($budget, s.budget_w);
+        gauge!($util, s.utilization());
+    }};
 }
 
 /// Publishes per-stage watt attribution and utilization gauges for a
 /// report (called at the bisection's landing point, so the gauges show
-/// where every watt goes at the design's maximum scale).
+/// where every watt goes at the design's maximum scale). One literal
+/// arm per stage keeps every series on the interned fast path.
 fn record_stage_gauges(report: &PowerReport) {
-    if !qisim_obs::enabled() {
-        return;
-    }
     for s in &report.stages {
-        let label = s.stage.label();
-        gauge!(format!("power.stage.{label}.device_static_w"), s.device_static_w);
-        gauge!(format!("power.stage.{label}.device_dynamic_w"), s.device_dynamic_w);
-        gauge!(format!("power.stage.{label}.wire_w"), s.wire_w);
-        gauge!(format!("power.stage.{label}.instr_link_w"), s.instr_link_w);
-        gauge!(format!("power.stage.{label}.total_w"), s.total_w());
-        gauge!(format!("power.stage.{label}.budget_w"), s.budget_w);
-        gauge!(format!("power.stage.{label}.utilization"), s.utilization());
+        match s.stage {
+            Stage::K50 => stage_gauges!(
+                s,
+                "power.stage.50K.device_static_w",
+                "power.stage.50K.device_dynamic_w",
+                "power.stage.50K.wire_w",
+                "power.stage.50K.instr_link_w",
+                "power.stage.50K.total_w",
+                "power.stage.50K.budget_w",
+                "power.stage.50K.utilization"
+            ),
+            Stage::K4 => stage_gauges!(
+                s,
+                "power.stage.4K.device_static_w",
+                "power.stage.4K.device_dynamic_w",
+                "power.stage.4K.wire_w",
+                "power.stage.4K.instr_link_w",
+                "power.stage.4K.total_w",
+                "power.stage.4K.budget_w",
+                "power.stage.4K.utilization"
+            ),
+            Stage::K1 => stage_gauges!(
+                s,
+                "power.stage.1K.device_static_w",
+                "power.stage.1K.device_dynamic_w",
+                "power.stage.1K.wire_w",
+                "power.stage.1K.instr_link_w",
+                "power.stage.1K.total_w",
+                "power.stage.1K.budget_w",
+                "power.stage.1K.utilization"
+            ),
+            Stage::Mk100 => stage_gauges!(
+                s,
+                "power.stage.100mK.device_static_w",
+                "power.stage.100mK.device_dynamic_w",
+                "power.stage.100mK.wire_w",
+                "power.stage.100mK.instr_link_w",
+                "power.stage.100mK.total_w",
+                "power.stage.100mK.budget_w",
+                "power.stage.100mK.utilization"
+            ),
+            Stage::Mk20 => stage_gauges!(
+                s,
+                "power.stage.20mK.device_static_w",
+                "power.stage.20mK.device_dynamic_w",
+                "power.stage.20mK.wire_w",
+                "power.stage.20mK.instr_link_w",
+                "power.stage.20mK.total_w",
+                "power.stage.20mK.budget_w",
+                "power.stage.20mK.utilization"
+            ),
+        }
     }
 }
 

@@ -1,7 +1,11 @@
 //! Serial-vs-parallel wall-clock benchmark of the hot paths the
 //! `qisim-par` engine threads through: a Fig. 17-style design-point
-//! sweep (one power bisection per design), the per-stage utilization
-//! curve, and a surface-code Monte-Carlo shot batch.
+//! sweep (one power bisection per design) and a surface-code Monte-Carlo
+//! shot batch. The per-stage utilization curve rides along as a
+//! serial reference: `sweep` compiles the design's power curve once and
+//! evaluates its points on the caller's thread (a compiled point costs
+//! less than a pool dispatch), so its share of the time does not scale
+//! with the thread count.
 //!
 //! Each configuration runs the identical workload with the thread pool
 //! pinned to 1, 2, and 4 workers, checks that the three result sets are

@@ -1,9 +1,11 @@
 //! Integration tests for the flight recorder: a traced two-thread sweep
-//! must export a valid Chrome `trace_event` timeline with per-worker
-//! lanes, and arming the recorder must never perturb the science.
+//! and batch analysis must export a valid Chrome `trace_event` timeline
+//! with per-worker lanes, and arming the recorder must never perturb the
+//! science.
 
 use qisim::obs::{self, trace, trace_export};
 use qisim::par;
+use qisim::scalability::analyze_many;
 use qisim::surface::target::Target;
 use qisim::{analyze, sweep, QciDesign};
 use std::sync::Mutex;
@@ -27,10 +29,15 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     trace::arm();
     trace::clear();
     let points = sweep(&QciDesign::cmos_baseline(), &SWEEP_COUNTS);
+    // The sweep runs on the caller's thread; the batch analysis is what
+    // fans out to the pool's workers.
+    let batch = [QciDesign::cmos_baseline(), QciDesign::rsfq_near_term()];
+    let verdicts = analyze_many(&batch, &Target::near_term());
     let session = trace::TraceSession::drain();
     trace::disarm();
     par::set_threads(None);
     assert_eq!(points.len(), SWEEP_COUNTS.len());
+    assert_eq!(verdicts.len(), batch.len());
 
     if !obs::enabled() {
         // Kill-switch build (--no-default-features): the recorder is
@@ -65,8 +72,8 @@ fn traced_two_thread_sweep_exports_valid_chrome_json() {
     assert_eq!(seen, SWEEP_COUNTS);
 
     if par::is_parallel_build() {
-        // Two workers ran, so the session has at least two lanes and the
-        // worker lanes carry their pool labels.
+        // Two workers ran the batch analysis, so the session has at
+        // least two lanes and the worker lanes carry their pool labels.
         assert!(session.threads.len() >= 2, "lanes: {:?}", session.threads.len());
         assert!(
             session.threads.iter().any(|t| t.label.starts_with("qisim-par worker-")),
