@@ -470,8 +470,7 @@ impl DesignSpec {
 
     /// Whether this spec carries any per-stage cooling-budget override —
     /// i.e. whether [`DesignSpec::fridge`] would differ from
-    /// [`Fridge::standard`]. Batch executors use this to group
-    /// standard-fridge specs through `try_analyze_many`.
+    /// [`Fridge::standard`].
     pub fn has_budget_overrides(&self) -> bool {
         self.budgets_w.iter().any(Option::is_some)
     }
@@ -511,8 +510,7 @@ impl DesignSpec {
 
     /// Whether this spec asks for a genuine multi-fridge analysis
     /// (`fridges > 1`). Single-fridge specs — even ones that set link
-    /// knobs — take the classic pipeline bit-for-bit, so batch executors
-    /// keep grouping them through `try_analyze_many`.
+    /// knobs — take the classic pipeline bit-for-bit.
     pub fn has_scale_out(&self) -> bool {
         self.fridges.is_some_and(|n| n > 1)
     }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! {"ts_ns":10452417,"level":"info","event":"serve.request.finish",
-//!  "thread":"qisim-serve-worker","request_id":7,
+//!  "thread":"qisim-serve-conn","request_id":7,
 //!  "outcome":"ok","latency_ms":1.25}
 //! ```
 //!

@@ -7,8 +7,8 @@
 //! |------------|-----------------------------------------------------------|
 //! | `/metrics` | OpenMetrics **delta** since the previous scrape            |
 //! | `/healthz` | `200 ok` while the process answers HTTP at all             |
-//! | `/readyz`  | `200 ready`, or `503` when stopping / the queue is full    |
-//! | `/statusz` | version, uptime, threads, queue, counters, and             |
+//! | `/readyz`  | `200 ready`, or `503` when stopping / at the in-flight cap |
+//! | `/statusz` | version, uptime, threads, in-flight, counters, and         |
 //! |            | per-engine-stage latency percentiles (plain text)          |
 //!
 //! The listener serves scrapers and probes, not browsers: HTTP/1.0 and
@@ -54,10 +54,10 @@ const OPENMETRICS_CONTENT_TYPE: &str = "application/openmetrics-text; version=1.
 /// the TCP [`crate::Server`] (via [`crate::Server::status`]) and by
 /// anything a test wants to probe with.
 pub trait ServiceStatus: Send + Sync {
-    /// Requests currently queued for the batch worker.
-    fn queue_depth(&self) -> usize;
-    /// The bounded queue capacity (shed threshold).
-    fn queue_cap(&self) -> usize;
+    /// Requests being answered right now.
+    fn inflight(&self) -> usize;
+    /// The in-flight limit (shed threshold).
+    fn inflight_cap(&self) -> usize;
     /// Whether the service has begun stopping.
     fn stopping(&self) -> bool;
     /// Point-in-time service counters.
@@ -256,13 +256,13 @@ fn readyz(state: &AdminState) -> String {
             "stopping\n",
         );
     }
-    let (depth, cap) = (status.queue_depth(), status.queue_cap());
-    if depth >= cap {
+    let (inflight, cap) = (status.inflight(), status.inflight_cap());
+    if inflight >= cap {
         return http_response(
             503,
             "Service Unavailable",
             "text/plain; charset=utf-8",
-            &format!("shedding: queue full ({depth}/{cap})\n"),
+            &format!("shedding: in-flight limit reached ({inflight}/{cap})\n"),
         );
     }
     http_response(200, "OK", "text/plain; charset=utf-8", "ready\n")
@@ -300,8 +300,8 @@ fn statusz(state: &AdminState) -> String {
     let _ = writeln!(page, "version = {}", env!("CARGO_PKG_VERSION"));
     let _ = writeln!(page, "uptime_s = {}", state.started.elapsed().as_secs());
     let _ = writeln!(page, "threads = {}", thread_count().unwrap_or(0));
-    let _ = writeln!(page, "queue_depth = {}", status.queue_depth());
-    let _ = writeln!(page, "queue_cap = {}", status.queue_cap());
+    let _ = writeln!(page, "inflight = {}", status.inflight());
+    let _ = writeln!(page, "inflight_cap = {}", status.inflight_cap());
     let _ = writeln!(page, "stopping = {}", u8::from(status.stopping()));
     let _ = writeln!(
         page,
@@ -350,16 +350,16 @@ mod tests {
     use super::*;
 
     struct FakeStatus {
-        depth: usize,
+        inflight: usize,
         cap: usize,
         stopping: bool,
     }
 
     impl ServiceStatus for FakeStatus {
-        fn queue_depth(&self) -> usize {
-            self.depth
+        fn inflight(&self) -> usize {
+            self.inflight
         }
-        fn queue_cap(&self) -> usize {
+        fn inflight_cap(&self) -> usize {
             self.cap
         }
         fn stopping(&self) -> bool {
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn routing_covers_probes_errors_and_unknowns() {
-        let state = state(FakeStatus { depth: 0, cap: 4, stopping: false });
+        let state = state(FakeStatus { inflight: 0, cap: 4, stopping: false });
         let ok = respond("GET /healthz HTTP/1.1\r\n\r\n", &state);
         assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
         assert_eq!(body_of(&ok), "ok\n");
@@ -401,19 +401,19 @@ mod tests {
 
     #[test]
     fn readyz_reports_stopping_and_full_queues() {
-        let stopping = state(FakeStatus { depth: 0, cap: 4, stopping: true });
+        let stopping = state(FakeStatus { inflight: 0, cap: 4, stopping: true });
         let response = respond("GET /readyz HTTP/1.1\r\n\r\n", &stopping);
         assert!(response.starts_with("HTTP/1.1 503"), "{response}");
         assert_eq!(body_of(&response), "stopping\n");
-        let full = state(FakeStatus { depth: 4, cap: 4, stopping: false });
+        let full = state(FakeStatus { inflight: 4, cap: 4, stopping: false });
         let response = respond("GET /readyz HTTP/1.1\r\n\r\n", &full);
         assert!(response.starts_with("HTTP/1.1 503"), "{response}");
-        assert!(body_of(&response).contains("queue full (4/4)"), "{response}");
+        assert!(body_of(&response).contains("in-flight limit reached (4/4)"), "{response}");
     }
 
     #[test]
     fn metrics_scrapes_are_well_formed_deltas() {
-        let state = state(FakeStatus { depth: 0, cap: 4, stopping: false });
+        let state = state(FakeStatus { inflight: 0, cap: 4, stopping: false });
         qisim_obs::counter_add("admin.test.scrapes", 3);
         let first = respond("GET /metrics HTTP/1.1\r\n\r\n", &state);
         assert!(first.starts_with("HTTP/1.1 200"), "{first}");
@@ -431,13 +431,13 @@ mod tests {
 
     #[test]
     fn statusz_carries_the_operator_overview() {
-        let state = state(FakeStatus { depth: 2, cap: 8, stopping: false });
+        let state = state(FakeStatus { inflight: 2, cap: 8, stopping: false });
         let response = respond("GET /statusz HTTP/1.1\r\n\r\n", &state);
         let body = body_of(&response);
         assert!(response.starts_with("HTTP/1.1 200"), "{response}");
         assert!(body.contains(&format!("version = {}", env!("CARGO_PKG_VERSION"))), "{body}");
-        assert!(body.contains("queue_depth = 2"), "{body}");
-        assert!(body.contains("queue_cap = 8"), "{body}");
+        assert!(body.contains("inflight = 2"), "{body}");
+        assert!(body.contains("inflight_cap = 8"), "{body}");
         assert!(body.contains("requests = 10; ok = 7; errors = 2; shed = 1"), "{body}");
     }
 

@@ -1,18 +1,14 @@
-//! Service configuration: queue depth, batch size, and the operator
-//! knobs the `qisim-serve` binary reads from `QISIM_SERVE_*` environment
+//! Service configuration: the in-flight limit and the operator knobs
+//! the `qisim-serve` binary reads from `QISIM_SERVE_*` environment
 //! variables (one table in `docs/SERVING.md` documents them all).
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Default bound on the number of accepted-but-unanswered requests.
-/// Past it the service sheds load with a typed `busy` response instead
-/// of queueing without bound (`QISIM_SERVE_QUEUE` overrides).
-pub const DEFAULT_QUEUE_DEPTH: usize = 256;
-
-/// Default maximum number of requests answered in one
-/// `try_analyze_many` batch (`QISIM_SERVE_BATCH` overrides).
-pub const DEFAULT_BATCH_MAX: usize = 64;
+/// Default bound on the number of requests being answered at once,
+/// across all connections. Past it the service sheds load with a typed
+/// `busy` response (`QISIM_SERVE_QUEUE` overrides).
+pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 
 /// Hard cap on one request line, in bytes. A connection that streams a
 /// longer line without a newline gets a typed error response and is
@@ -26,12 +22,10 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// on top (each read once, invalid values fall back to the default).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Bounded accept queue depth; requests past it are shed with a
-    /// `busy` response ([`DEFAULT_QUEUE_DEPTH`]).
-    pub queue_depth: usize,
-    /// Maximum requests per `try_analyze_many` batch
-    /// ([`DEFAULT_BATCH_MAX`]).
-    pub batch_max: usize,
+    /// In-flight limit: a request arriving while this many others are
+    /// being answered is shed with a `busy` response
+    /// ([`DEFAULT_MAX_INFLIGHT`]).
+    pub max_inflight: usize,
     /// Graceful-shutdown signal file: the TCP accept loop polls for this
     /// path and stops the service once it exists (`None` = no file
     /// polling; stdin/stdout framing stops at EOF instead).
@@ -40,10 +34,11 @@ pub struct ServeConfig {
     /// requests); `None` keeps traces in-memory (the response still
     /// carries the event count).
     pub trace_dir: Option<PathBuf>,
-    /// Artificial per-batch delay — a fault-injection knob for
+    /// Artificial per-request delay on the TCP service, spent while the
+    /// request holds its in-flight slot — a fault-injection knob for
     /// backpressure tests, benches, and operator drills (`Duration::ZERO`
     /// in production).
-    pub batch_delay: Duration,
+    pub delay: Duration,
     /// Slow-request threshold: a request whose end-to-end latency
     /// exceeds this many milliseconds gets a `serve.request.slow` warn
     /// log record and bumps the `serve.slow` counter (`None` = no
@@ -58,11 +53,10 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-            batch_max: DEFAULT_BATCH_MAX,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
             stop_file: None,
             trace_dir: None,
-            batch_delay: Duration::ZERO,
+            delay: Duration::ZERO,
             slow_ms: None,
             admin_addr: None,
         }
@@ -71,20 +65,18 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration with every `QISIM_SERVE_*` environment
-    /// override applied: `QISIM_SERVE_QUEUE`, `QISIM_SERVE_BATCH`
-    /// (positive integers), `QISIM_SERVE_STOP`, `QISIM_SERVE_TRACE_DIR`
-    /// (paths), `QISIM_SERVE_DELAY_MS` (a non-negative integer; fault
-    /// injection, see [`ServeConfig::batch_delay`]), `QISIM_SLOW_MS` (a
+    /// override applied: `QISIM_SERVE_QUEUE` (a positive integer, see
+    /// [`ServeConfig::max_inflight`]), `QISIM_SERVE_STOP`,
+    /// `QISIM_SERVE_TRACE_DIR` (paths), `QISIM_SERVE_DELAY_MS` (a
+    /// non-negative integer; fault injection, see
+    /// [`ServeConfig::delay`]), `QISIM_SLOW_MS` (a
     /// positive integer, see [`ServeConfig::slow_ms`]), and
     /// `QISIM_SERVE_ADMIN` (a bind address, see
     /// [`ServeConfig::admin_addr`]).
     pub fn from_env() -> Self {
         let mut config = ServeConfig::default();
         if let Some(n) = env_positive("QISIM_SERVE_QUEUE") {
-            config.queue_depth = n;
-        }
-        if let Some(n) = env_positive("QISIM_SERVE_BATCH") {
-            config.batch_max = n;
+            config.max_inflight = n;
         }
         config.stop_file = env_path("QISIM_SERVE_STOP");
         config.trace_dir = env_path("QISIM_SERVE_TRACE_DIR");
@@ -92,7 +84,7 @@ impl ServeConfig {
             .ok()
             .and_then(|raw| raw.trim().parse::<u64>().ok())
         {
-            config.batch_delay = Duration::from_millis(ms);
+            config.delay = Duration::from_millis(ms);
         }
         config.slow_ms = env_positive("QISIM_SLOW_MS").map(|n| n as u64);
         config.admin_addr = env_path("QISIM_SERVE_ADMIN").map(|p| p.to_string_lossy().into_owned());
@@ -127,11 +119,10 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ServeConfig::default();
-        assert_eq!(c.queue_depth, DEFAULT_QUEUE_DEPTH);
-        assert_eq!(c.batch_max, DEFAULT_BATCH_MAX);
+        assert_eq!(c.max_inflight, DEFAULT_MAX_INFLIGHT);
         assert_eq!(c.stop_file, None);
         assert_eq!(c.trace_dir, None);
-        assert_eq!(c.batch_delay, Duration::ZERO);
+        assert_eq!(c.delay, Duration::ZERO);
         assert_eq!(c.slow_ms, None);
         assert_eq!(c.admin_addr, None);
     }

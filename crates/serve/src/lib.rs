@@ -1,4 +1,4 @@
-//! `qisim-serve` — a batch scalability-analysis service over the
+//! `qisim-serve` — a scalability-analysis service over the
 //! [`qisim::codec`] wire format.
 //!
 //! The crates below this one answer one question — *how many qubits can
@@ -12,16 +12,16 @@
 //! Design points (the operator's manual, `docs/SERVING.md`, covers them
 //! in depth):
 //!
-//! * **One engine, one answer.** Every framing funnels into the same
-//!   batch executor; responses are bit-identical to a direct
+//! * **One path per request.** Every framing answers each request on
+//!   the thread that read it, through the same staged engine call;
+//!   responses are bit-identical to a direct
 //!   [`qisim::engine::try_analyze_spec`] of the same request.
-//! * **Batching.** Standard-fridge requests are grouped per roadmap
-//!   target and answered through [`qisim::engine::try_analyze_many`] —
-//!   one fan-out over the shared `qisim-par` pool per batch.
 //! * **Requests fail; the process doesn't.** Malformed lines, invalid
-//!   knobs, and engine failures become typed `error` responses. A full
-//!   queue becomes a typed `busy` response (shed, counted under
-//!   `serve.shed`). Nothing a client sends tears the service down.
+//!   knobs, and engine failures become typed `error` responses. A
+//!   request past the in-flight limit becomes a typed `busy` response
+//!   (shed, counted under `serve.shed`). A client that stops reading
+//!   loses its own connection after a write timeout and holds up no one
+//!   else. Nothing a client sends tears the service down.
 //! * **Observable.** `serve.*` counters, an in-flight gauge, and
 //!   request-latency histograms flow through the `qisim-obs` OpenMetrics
 //!   exporter (`QISIM_METRICS`); `trace = 1` requests capture a
@@ -33,7 +33,7 @@
 //!   (`docs/OBSERVABILITY.md` is the field guide).
 //! * **Graceful shutdown.** stdin framing stops at EOF; the TCP service
 //!   stops on [`Server::shutdown`] or when the configured stop file
-//!   appears, draining every accepted request first.
+//!   appears, finishing every request already read first.
 //!
 //! # Example: one request over the stdin/stdout framing
 //!
@@ -61,6 +61,6 @@ pub mod proto;
 pub mod server;
 
 pub use admin::{AdminServer, ServiceStatus};
-pub use config::{ServeConfig, DEFAULT_BATCH_MAX, DEFAULT_QUEUE_DEPTH, MAX_LINE_BYTES};
+pub use config::{ServeConfig, DEFAULT_MAX_INFLIGHT, MAX_LINE_BYTES};
 pub use proto::{Request, ResponseKind, TargetKind};
 pub use server::{serve_lines, Server, StatsSnapshot};

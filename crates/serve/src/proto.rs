@@ -44,8 +44,8 @@
 //!   reason = <text>` — a typed per-request failure; `kind` is one of
 //!   `decode`, `config`, `power`, `target`. The process keeps serving.
 //! * `busy = 1; [request_id = …;] [id = …;] reason = <text>` — the
-//!   bounded queue was full and the request was shed (backpressure, not
-//!   failure: retry later).
+//!   service was at its in-flight limit and the request was shed
+//!   (backpressure, not failure: retry later).
 //!
 //! `request_id` is the **server-assigned** id of the request (a
 //! process-unique positive integer, distinct from the client's opaque

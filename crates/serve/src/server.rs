@@ -1,20 +1,18 @@
 //! The serving loops: synchronous stdin/stdout framing
-//! ([`serve_lines`]) and the long-running TCP service ([`Server`]),
-//! both answering through one shared batch executor.
+//! ([`serve_lines`]) and the long-running TCP service ([`Server`]).
+//! Both answer every request through `answer` on the thread that read
+//! it.
 //!
 //! Every request follows the same path: parse ([`crate::proto`]) →
-//! validate (`DesignSpec::build` / `topology`) → analyze —
-//! standard-fridge, single-fridge requests using the default `packed`
-//! estimator are grouped per target and answered through
-//! [`qisim::engine::try_analyze_many`] (one fan-out over the shared
-//! `qisim-par` pool per batch); budget-override, multi-fridge
-//! (`fridges = N`), traced, and Monte-Carlo-estimator (`estimator =
-//! sliced` / `rare`) requests run individually through the same staged
-//! engine.
+//! validate (`DesignSpec::build` / `topology`) → analyze through the
+//! staged engine ([`qisim::engine::try_analyze_topology`], the same
+//! call [`qisim::engine::try_analyze_spec`] makes) → render one
+//! response line.
 //!
 //! A request can never take the process down: malformed lines, invalid
 //! knobs, and engine failures all become typed `error` responses, and a
-//! full queue becomes a typed `busy` response (shed, counted under
+//! request arriving while [`ServeConfig::max_inflight`] others are being
+//! answered becomes a typed `busy` response (shed, counted under
 //! `serve.shed`).
 //!
 //! # Request ids
@@ -22,12 +20,9 @@
 //! Every received line gets a process-unique `request_id` (the accept
 //! sequence number). The id is echoed on the response line, stamped on
 //! the request's `serve.request.start` / `serve.request.finish` JSONL
-//! log records (`QISIM_LOG`), and — for requests that run individually
-//! through the staged engine — attached to their flight-recorder span
-//! arguments via [`qisim_obs::RequestScope`]. Requests answered through
-//! the grouped `try_analyze_many` fast path share one fan-out, so their
-//! engine-stage spans carry no per-request id (the response and log
-//! records still do).
+//! log records (`QISIM_LOG`), and attached to the engine's span
+//! arguments and `engine.stage` log records via
+//! [`qisim_obs::RequestScope`].
 
 use crate::config::{ServeConfig, MAX_LINE_BYTES};
 use crate::proto::{self, Request};
@@ -38,16 +33,20 @@ use qisim::scalability::Scalability;
 use qisim::spec::Estimator;
 use qisim::QciDesign;
 use qisim_obs::{counter, gauge, observe};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often blocked loops (accept poll, worker wait, connection reads)
-/// re-check the stop flag and the stop file.
+/// How often blocked loops (accept poll, connection reads) re-check the
+/// stop flag and the stop file.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How long one response write may make no progress before its
+/// connection is closed: a client that stops reading can hold only its
+/// own connection thread, and only this long.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Service counters, independent of the observability feature (the
 /// `serve.*` metrics mirror these when `obs` is compiled in).
@@ -81,17 +80,38 @@ impl Stats {
             shed: self.shed.load(Ordering::Relaxed),
         }
     }
+
+    /// Counts one received request line.
+    fn received(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        counter!("serve.requests");
+    }
+
+    /// Counts one rendered response by its kind.
+    fn track(&self, response: &str) {
+        match proto::response_kind(response) {
+            Some(proto::ResponseKind::Ok) => {
+                self.ok.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.responses");
+            }
+            Some(proto::ResponseKind::Busy) => {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.shed");
+            }
+            _ => {
+                self.errors.fetch_add(1, Ordering::Relaxed);
+                counter!("serve.errors");
+            }
+        }
+    }
 }
 
-/// A parsed, validated request ready for the batch executor.
+/// A parsed, validated request ready for the engine.
 struct Prepared {
     seq: u64,
     request: Request,
     design: QciDesign,
     topology: FridgeTopology,
-    /// Standard fridge, single-fridge topology: eligible for the
-    /// `try_analyze_many` fast path.
-    groupable: bool,
     estimator: Estimator,
 }
 
@@ -100,80 +120,32 @@ fn prepare(seq: u64, line: &str) -> Result<Prepared, QisimError> {
     let request = proto::parse_request_line(line.trim_end_matches(['\n', '\r']))?;
     let design = request.spec.build()?;
     let topology = request.spec.topology()?;
-    let groupable = !request.spec.has_budget_overrides() && !request.spec.has_scale_out();
     let estimator = request.spec.chosen_estimator();
-    Ok(Prepared { seq, request, design, topology, groupable, estimator })
+    Ok(Prepared { seq, request, design, topology, estimator })
 }
 
-/// Analyzes a batch of prepared requests and renders one response line
-/// per request, in batch order.
-///
-/// Standard-fridge, single-fridge, untraced, `packed`-estimator requests
-/// are grouped per roadmap target and answered through one
-/// [`engine::try_analyze_many`] call each (the `qisim-par` fan-out);
-/// everything else — budget overrides, multi-fridge topologies, traced
-/// requests, and the Monte-Carlo estimators (which parallelize
-/// internally) — runs individually through the same staged engine, so
-/// every response is bit-identical to a direct `try_analyze_spec` of the
-/// same request.
-fn answer_batch(config: &ServeConfig, batch: &[Prepared]) -> Vec<String> {
-    counter!("serve.batches");
-    observe!("serve.batch_size", batch.len() as f64);
-    let mut results: Vec<Option<Result<Scalability, QisimError>>> = Vec::new();
-    results.resize_with(batch.len(), || None);
-    for target in [proto::TargetKind::NearTerm, proto::TargetKind::LongTerm] {
-        let group: Vec<usize> = (0..batch.len())
-            .filter(|&i| {
-                let p = &batch[i];
-                p.groupable
-                    && !p.request.trace
-                    && p.estimator == Estimator::Packed
-                    && p.request.target == target
-            })
-            .collect();
-        if group.is_empty() {
-            continue;
-        }
-        let designs: Vec<QciDesign> = group.iter().map(|&i| batch[i].design).collect();
-        match engine::try_analyze_many(&designs, &target.target()) {
-            Ok(verdicts) => {
-                for (&i, verdict) in group.iter().zip(verdicts) {
-                    results[i] = Some(Ok(verdict));
-                }
-            }
-            // A batch-level failure loses per-request attribution; rerun
-            // the group one by one so each request gets its own verdict
-            // or diagnostic.
-            Err(_) => {
-                for &i in &group {
-                    results[i] = Some(engine::try_analyze(&batch[i].design, &target.target()));
-                }
-            }
-        }
-    }
-    batch
-        .iter()
-        .zip(results)
-        .map(|(prepared, grouped)| {
-            // Individually-run requests execute inside the scope, so
-            // their engine-stage spans and log records carry the id.
-            let _scope = qisim_obs::RequestScope::enter(prepared.seq);
-            let mut extras: Vec<(&str, String)> = Vec::new();
-            let result = match grouped {
-                Some(result) => result,
-                None if prepared.request.trace => run_traced(config, prepared, &mut extras),
-                // Budget-override, scale-out, and Monte-Carlo-estimator
-                // requests: same staged engine, custom topology/estimator.
-                None => engine::try_analyze_topology(
-                    &prepared.design,
-                    &prepared.request.target.target(),
-                    &prepared.topology,
-                    prepared.estimator,
-                ),
-            };
-            render_response(prepared, result, extras)
-        })
-        .collect()
+/// Answers one request line: parse and validate, then analyze inside
+/// the request's [`qisim_obs::RequestScope`] (traced or not), then
+/// render the response line. Every response is bit-identical to a
+/// direct `try_analyze_spec` of the same request.
+fn answer(config: &ServeConfig, seq: u64, line: &str) -> String {
+    let prepared = match prepare(seq, line) {
+        Ok(prepared) => prepared,
+        Err(error) => return proto::error_response(Some(seq), proto::request_id(line), &error),
+    };
+    let _scope = qisim_obs::RequestScope::enter(seq);
+    let mut extras: Vec<(&str, String)> = Vec::new();
+    let result = if prepared.request.trace {
+        run_traced(config, &prepared, &mut extras)
+    } else {
+        engine::try_analyze_topology(
+            &prepared.design,
+            &prepared.request.target.target(),
+            &prepared.topology,
+            prepared.estimator,
+        )
+    };
+    render_response(&prepared, result, extras)
 }
 
 /// Renders the response line for one prepared request, stamping the
@@ -197,27 +169,23 @@ fn render_response(
 }
 
 /// Emits the `serve.request.start` log record for one received line.
-fn log_request_start(seq: u64, queue_depth: usize) {
+fn log_request_start(seq: u64, inflight: usize) {
     if qisim_obs::log::armed(qisim_obs::log::Level::Info) {
         let _scope = qisim_obs::RequestScope::enter(seq);
         qisim_obs::log::record(qisim_obs::log::Level::Info, "serve.request.start")
-            .u64("queue_depth", queue_depth as u64)
+            .u64("inflight", inflight as u64)
             .emit();
     }
 }
 
-/// Emits the `serve.request.finish` log record (outcome, batch size,
-/// queue wait, end-to-end latency) and, past the configured
+/// Closes the books on one answered request: the `serve.request_ns`
+/// latency sample, the response counters, the `serve.request.finish`
+/// log record (outcome, latency) and, past the configured
 /// [`ServeConfig::slow_ms`] threshold, a `serve.request.slow` warning
 /// plus the `serve.slow` counter.
-fn log_request_finish(
-    config: &ServeConfig,
-    seq: u64,
-    response: &str,
-    batch_size: usize,
-    queue_wait: Duration,
-    latency: Duration,
-) {
+fn finish(config: &ServeConfig, stats: &Stats, seq: u64, response: &str, latency: Duration) {
+    observe!("serve.request_ns", latency.as_nanos() as f64);
+    stats.track(response);
     let latency_ms = latency.as_secs_f64() * 1e3;
     let slow = config.slow_ms.is_some_and(|ms| latency_ms > ms as f64);
     if slow {
@@ -235,8 +203,6 @@ fn log_request_finish(
         };
         qisim_obs::log::record(qisim_obs::log::Level::Info, "serve.request.finish")
             .str("outcome", outcome)
-            .u64("batch_size", batch_size as u64)
-            .f64("queue_wait_ms", queue_wait.as_secs_f64() * 1e3)
             .f64("latency_ms", latency_ms)
             .emit();
     }
@@ -300,8 +266,8 @@ fn run_traced(
 /// stdin/stdout framing. Responses are written (and flushed) in request
 /// order, one line each; EOF is the graceful-shutdown signal.
 ///
-/// Each line runs through the same batch executor as the TCP service
-/// (a batch of one), so responses are bit-identical across framings.
+/// Each line is answered through the same `answer` as the TCP
+/// service, so responses are bit-identical across framings.
 ///
 /// # Errors
 ///
@@ -317,81 +283,40 @@ pub fn serve_lines(
     for line in input.lines() {
         let line = line?;
         seq += 1;
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        counter!("serve.requests");
-        log_request_start(seq, 0);
+        stats.received();
+        log_request_start(seq, 1);
         let t0 = Instant::now();
-        let response = match prepare(seq, &line) {
-            Ok(prepared) => {
-                let mut responses = answer_batch(config, &[prepared]);
-                responses.pop().unwrap_or_default()
-            }
-            Err(error) => proto::error_response(Some(seq), proto::request_id(&line), &error),
-        };
-        let latency = t0.elapsed();
-        observe!("serve.request_ns", latency.as_nanos() as f64);
-        track_response(&stats, &response);
-        log_request_finish(config, seq, &response, 1, Duration::ZERO, latency);
+        let response = answer(config, seq, &line);
+        finish(config, &stats, seq, &response, t0.elapsed());
         output.write_all(response.as_bytes())?;
         output.flush()?;
     }
     Ok(stats.snapshot())
 }
 
-/// Updates counters from a rendered response line.
-fn track_response(stats: &Stats, response: &str) {
-    match proto::response_kind(response) {
-        Some(proto::ResponseKind::Ok) => {
-            stats.ok.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.responses");
-        }
-        Some(proto::ResponseKind::Busy) => {
-            stats.shed.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.shed");
-        }
-        _ => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.errors");
-        }
-    }
-}
-
-/// One accepted request waiting for the worker.
-struct Job {
-    seq: u64,
-    line: String,
-    t0: Instant,
-    out: Arc<Mutex<TcpStream>>,
-}
-
-/// State shared between the accept loop, connection readers, and the
-/// batch worker.
+/// State shared between the accept loop and the connection threads.
 struct Shared {
     config: ServeConfig,
     stats: Stats,
-    queue: Mutex<VecDeque<Job>>,
-    work: Condvar,
+    /// Requests being answered right now, across all connections.
+    inflight: AtomicUsize,
     stop: AtomicBool,
     seq: AtomicU64,
 }
 
 impl Shared {
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
     }
 }
 
 impl crate::admin::ServiceStatus for Shared {
-    fn queue_depth(&self) -> usize {
-        self.lock_queue().len()
+    fn inflight(&self) -> usize {
+        self.inflight.load(Ordering::Relaxed)
     }
 
-    fn queue_cap(&self) -> usize {
-        self.config.queue_depth
+    fn inflight_cap(&self) -> usize {
+        self.config.max_inflight
     }
 
     fn stopping(&self) -> bool {
@@ -403,22 +328,21 @@ impl crate::admin::ServiceStatus for Shared {
     }
 }
 
-/// The long-running TCP service: an accept loop, one reader thread per
-/// connection, and a single batch worker draining a bounded queue
-/// through [`qisim::engine::try_analyze_many`].
+/// The long-running TCP service: an accept loop and one thread per
+/// connection that reads a request line, answers it inline, and writes
+/// the response before it reads the next.
 ///
-/// Backpressure is explicit: when the queue holds
-/// [`ServeConfig::queue_depth`] requests, new ones are shed immediately
-/// with a `busy` response (`serve.shed`). Shutdown is graceful — via
+/// Backpressure is explicit: when [`ServeConfig::max_inflight`] requests
+/// are being answered, a new one is shed immediately with a `busy`
+/// response (`serve.shed`). Shutdown is graceful — via
 /// [`Server::shutdown`], or by creating the configured
-/// [`ServeConfig::stop_file`] — and drains every accepted request before
-/// the worker exits.
+/// [`ServeConfig::stop_file`] — and lets every request already read
+/// finish and write its response.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
-    worker: Option<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -446,8 +370,7 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             stats: Stats::default(),
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
+            inflight: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
         });
@@ -457,11 +380,7 @@ impl Server {
             let conns = Arc::clone(&conns);
             move || accept_loop(listener, shared, conns)
         })?;
-        let worker = std::thread::Builder::new().name("qisim-serve-worker".into()).spawn({
-            let shared = Arc::clone(&shared);
-            move || worker_loop(shared)
-        })?;
-        Ok(Server { addr, shared, accept: Some(accept), worker: Some(worker), conns })
+        Ok(Server { addr, shared, accept: Some(accept), conns })
     }
 
     /// The bound listen address.
@@ -481,7 +400,7 @@ impl Server {
     }
 
     /// A handle the [`crate::admin::AdminServer`] observes the serving
-    /// loop through (queue depth, shedding state, counters).
+    /// loop through (in-flight count, shedding state, counters).
     pub fn status(&self) -> Arc<dyn crate::admin::ServiceStatus> {
         Arc::clone(&self.shared) as Arc<dyn crate::admin::ServiceStatus>
     }
@@ -494,8 +413,8 @@ impl Server {
         }
     }
 
-    /// Stops accepting, drains every accepted request, joins all
-    /// threads, and returns the final counters. Idempotent.
+    /// Stops accepting, lets every request already read finish, joins
+    /// all threads, and returns the final counters. Idempotent.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop_and_join();
         self.stats()
@@ -503,11 +422,7 @@ impl Server {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.work.notify_all();
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.worker.take() {
             let _ = handle.join();
         }
         let handles: Vec<_> =
@@ -537,7 +452,6 @@ fn accept_loop(
         if let Some(stop_file) = &shared.config.stop_file {
             if stop_file.exists() {
                 shared.stop.store(true, Ordering::Relaxed);
-                shared.work.notify_all();
                 return;
             }
         }
@@ -546,6 +460,7 @@ fn accept_loop(
                 counter!("serve.connections");
                 if stream.set_nonblocking(false).is_err()
                     || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
+                    || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
                 {
                     continue;
                 }
@@ -569,12 +484,11 @@ fn accept_loop(
     }
 }
 
-/// Reads request lines off one connection, enqueueing each (or shedding
-/// it with a `busy` response when the queue is full) until EOF, a
-/// transport error, an oversized line, or service stop.
+/// Reads request lines off one connection and writes each one's
+/// response before reading the next, until EOF, a transport error (a
+/// write that timed out included), an oversized line, or service stop.
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let out = Arc::new(Mutex::new(write_half));
+    let Ok(mut out) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -597,8 +511,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                     ) =>
                 {
                     if line.len() > MAX_LINE_BYTES {
-                        oversized_line(&shared, &line, &out);
-                        return;
+                        break true;
                     }
                 }
                 Err(_) => return,
@@ -607,147 +520,57 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         if line.is_empty() {
             return; // clean EOF
         }
-        if line.len() > MAX_LINE_BYTES {
-            oversized_line(&shared, &line, &out);
+        // An oversized line is answered and then ends the connection:
+        // the rest of it is unread garbage.
+        let last = eof || line.len() > MAX_LINE_BYTES;
+        let response = serve_request(&shared, &line);
+        if out.write_all(response.as_bytes()).is_err() || last {
             return;
         }
-        enqueue(&shared, &line, &out);
-        if eof {
-            return; // final line without trailing newline
-        }
     }
 }
 
-/// Answers an oversized request line with a typed error (the connection
-/// is closed by the caller: the rest of the line is unread garbage).
-fn oversized_line(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    counter!("serve.requests");
+/// Answers one request line read off a connection: a typed error for an
+/// oversized line, a `busy` shed when [`ServeConfig::max_inflight`]
+/// requests are already being answered, otherwise [`answer`] inline
+/// while holding an in-flight slot.
+fn serve_request(shared: &Shared, line: &str) -> String {
+    let config = &shared.config;
+    shared.stats.received();
     let seq = shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let error = QisimError::Decode(qisim::error::DecodeError::new(
-        1,
-        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    ));
-    let response = proto::error_response(Some(seq), proto::request_id(line), &error);
-    track_response(&shared.stats, &response);
-    log_request_start(seq, 0);
-    log_request_finish(&shared.config, seq, &response, 1, Duration::ZERO, Duration::ZERO);
-    write_response(out, &response);
-}
-
-/// Accepts one request line into the bounded queue, or sheds it.
-fn enqueue(shared: &Shared, line: &str, out: &Arc<Mutex<TcpStream>>) {
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    counter!("serve.requests");
-    let seq = shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut queue = shared.lock_queue();
-    if queue.len() >= shared.config.queue_depth {
-        let depth = queue.len();
-        drop(queue);
-        let response = proto::busy_response(
-            Some(seq),
-            proto::request_id(line),
-            &format!("queue full (depth {depth})"),
-        );
-        track_response(&shared.stats, &response);
-        log_request_start(seq, depth);
-        log_request_finish(&shared.config, seq, &response, 0, Duration::ZERO, Duration::ZERO);
-        write_response(out, &response);
-        return;
-    }
-    queue.push_back(Job { seq, line: line.to_string(), t0: Instant::now(), out: Arc::clone(out) });
-    let depth = queue.len();
-    drop(queue);
-    counter!("serve.accepted");
-    gauge!("serve.inflight", depth as f64);
-    log_request_start(seq, depth);
-    shared.work.notify_all();
-}
-
-/// The single batch worker: drains the queue in batches of up to
-/// [`ServeConfig::batch_max`], answers each batch through
-/// [`answer_batch`], and keeps draining after a stop request until the
-/// queue is empty (accepted requests are always answered).
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if !queue.is_empty() {
-                    let n = queue.len().min(shared.config.batch_max);
-                    break queue.drain(..n).collect();
+    let t0 = Instant::now();
+    let response = if line.len() > MAX_LINE_BYTES {
+        log_request_start(seq, shared.inflight.load(Ordering::Relaxed));
+        let error = QisimError::Decode(qisim::error::DecodeError::new(
+            1,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ));
+        proto::error_response(Some(seq), proto::request_id(line), &error)
+    } else {
+        let admitted = shared.inflight.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+            (n < config.max_inflight).then_some(n + 1)
+        });
+        match admitted {
+            Ok(before) => {
+                counter!("serve.accepted");
+                gauge!("serve.inflight", (before + 1) as f64);
+                log_request_start(seq, before + 1);
+                // Fault injection: the delay holds the in-flight slot.
+                if !config.delay.is_zero() {
+                    std::thread::sleep(config.delay);
                 }
-                if shared.stopping() {
-                    return;
-                }
-                queue = match shared.work.wait_timeout(queue, POLL_INTERVAL) {
-                    Ok((guard, _)) => guard,
-                    Err(e) => e.into_inner().0,
-                };
+                let response = answer(config, seq, line);
+                let after = shared.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
+                gauge!("serve.inflight", after as f64);
+                response
             }
-        };
-        // The wait-in-queue interval ends here, when the batch drains.
-        let queue_waits: Vec<Duration> = batch.iter().map(|job| job.t0.elapsed()).collect();
-        gauge!("serve.inflight", (shared.lock_queue().len() + batch.len()) as f64);
-        if !shared.config.batch_delay.is_zero() {
-            std::thread::sleep(shared.config.batch_delay);
-        }
-        // Parse failures short-circuit; the rest form the batch. All
-        // responses are written back in request order, so a pipelined
-        // connection reads its answers in the order it sent them.
-        let mut slots: Vec<Option<String>> = Vec::new();
-        slots.resize_with(batch.len(), || None);
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(batch.len());
-        let mut prepared_at: Vec<usize> = Vec::with_capacity(batch.len());
-        for (i, job) in batch.iter().enumerate() {
-            match prepare(job.seq, &job.line) {
-                Ok(p) => {
-                    prepared.push(p);
-                    prepared_at.push(i);
-                }
-                Err(error) => {
-                    slots[i] = Some(proto::error_response(
-                        Some(job.seq),
-                        proto::request_id(&job.line),
-                        &error,
-                    ));
-                }
+            Err(full) => {
+                log_request_start(seq, full);
+                let reason = format!("in-flight limit reached ({full}/{})", config.max_inflight);
+                proto::busy_response(Some(seq), proto::request_id(line), &reason)
             }
         }
-        let answers = answer_batch(&shared.config, &prepared);
-        for (i, response) in prepared_at.into_iter().zip(answers) {
-            slots[i] = Some(response);
-        }
-        let batch_size = batch.len();
-        for ((job, slot), queue_wait) in batch.iter().zip(slots).zip(queue_waits) {
-            if let Some(response) = slot {
-                finish_job(&shared, job, response, queue_wait, batch_size);
-            }
-        }
-        gauge!("serve.inflight", shared.lock_queue().len() as f64);
-    }
-}
-
-/// Records latency, counters, and the finish log record for one
-/// answered job, then writes its response line.
-fn finish_job(
-    shared: &Shared,
-    job: &Job,
-    response: String,
-    queue_wait: Duration,
-    batch_size: usize,
-) {
-    let latency = job.t0.elapsed();
-    observe!("serve.request_ns", latency.as_nanos() as f64);
-    track_response(&shared.stats, &response);
-    log_request_finish(&shared.config, job.seq, &response, batch_size, queue_wait, latency);
-    write_response(&job.out, &response);
-}
-
-/// Writes one response line; client-side failures (a closed socket) are
-/// deliberately ignored — a vanished client must not affect the service.
-fn write_response(out: &Arc<Mutex<TcpStream>>, response: &str) {
-    let mut stream = out.lock().unwrap_or_else(|e| e.into_inner());
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    };
+    finish(config, &shared.stats, seq, &response, t0.elapsed());
+    response
 }

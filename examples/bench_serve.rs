@@ -4,10 +4,10 @@
 //! **bit-identical** to a direct `try_analyze_spec` call, and the
 //! sorted-latency percentiles land in the `BENCH_serve.json` artifact.
 //!
-//! A second, deliberately tiny server (queue depth 2, injected batch
-//! delay) is then driven past saturation to demonstrate the shed path:
-//! under sustained overload some requests must come back as typed
-//! `busy` responses while the service keeps answering.
+//! A second, deliberately tiny server (in-flight limit 1, an injected
+//! 25 ms per-request delay) then takes a burst of concurrent
+//! connections to demonstrate the shed path: some requests must come
+//! back as typed `busy` responses while the service keeps answering.
 //!
 //! Run with `cargo run --release --example bench_serve`; pass `--smoke`
 //! for the seconds-scale CI variant (no artifact).
@@ -18,6 +18,7 @@ use qisim_serve::{proto, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// The request mix: all nine paper presets plus the paper's optimized
@@ -49,9 +50,10 @@ fn main() {
         .collect();
 
     let total = clients * per_client;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "bench_serve: {clients} client(s) x {per_client} request(s) = {total} requests, \
-         {} distinct specs, par build: {}",
+         {} distinct specs, par build: {}, available_parallelism: {cores}",
         mix.len(),
         qisim::par::is_parallel_build()
     );
@@ -119,37 +121,47 @@ fn main() {
     // Sample response, so logs show what the wire actually carries.
     println!("  sample response: {}", expected[0].trim_end());
 
-    // Overload drill: a queue this small under a pipelined burst must
-    // shed — and answer everything it sheds with a typed busy line.
-    let tiny = ServeConfig {
-        queue_depth: 2,
-        batch_max: 1,
-        batch_delay: Duration::from_millis(5),
-        ..ServeConfig::default()
-    };
+    // Overload drill: with one in-flight slot held 25 ms per request, a
+    // burst of concurrent connections must shed — and answer everything
+    // it sheds with a typed busy line.
+    let tiny =
+        ServeConfig { max_inflight: 1, delay: Duration::from_millis(25), ..ServeConfig::default() };
     let overload = Server::bind("127.0.0.1:0", tiny).expect("bind overload server");
-    let stream = TcpStream::connect(overload.addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
+    let overload_addr = overload.addr();
     let burst = 64;
-    for _ in 0..burst {
-        writeln!(writer, "preset = cmos_baseline").expect("send");
-    }
+    let start = Arc::new(Barrier::new(burst));
+    let senders: Vec<_> = (0..burst)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(overload_addr).expect("connect");
+                let mut writer = stream.try_clone().expect("clone stream");
+                let mut reader = BufReader::new(stream);
+                start.wait();
+                writeln!(writer, "preset = cmos_baseline").expect("send");
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("receive");
+                proto::response_kind(&response)
+            })
+        })
+        .collect();
     let mut shed = 0u64;
-    for _ in 0..burst {
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("receive");
-        if proto::response_kind(&response) == Some(proto::ResponseKind::Busy) {
-            shed += 1;
+    let mut answered = 0u64;
+    for sender in senders {
+        match sender.join().expect("burst client") {
+            Some(proto::ResponseKind::Busy) => shed += 1,
+            Some(proto::ResponseKind::Ok) => answered += 1,
+            other => panic!("unexpected response kind {other:?} in the overload drill"),
         }
     }
     let overload_stats = overload.shutdown();
     println!(
-        "  overload drill: {burst} pipelined requests vs queue depth 2 -> {shed} shed \
-         (server kept answering; counters shed = {})",
+        "  overload drill: {burst} concurrent connections vs in-flight limit 1 -> {shed} shed, \
+         {answered} answered (server kept answering; counters shed = {})",
         overload_stats.shed
     );
-    assert!(shed >= 1, "sustained overload of a depth-2 queue must shed");
+    assert!(shed >= 1, "a burst past an in-flight limit of 1 must shed");
+    assert!(answered >= 1, "shedding must not starve the service entirely");
     assert_eq!(shed, overload_stats.shed);
 
     if smoke {
@@ -168,6 +180,7 @@ fn main() {
     );
     let _ = writeln!(json, "  \"requests\": {total},");
     let _ = writeln!(json, "  \"clients\": {clients},");
+    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
     let _ = writeln!(json, "  \"wall_ms\": {:.3},", wall.as_secs_f64() * 1e3);
     let _ = writeln!(json, "  \"throughput_req_per_s\": {throughput:.1},");
     let _ = writeln!(json, "  \"latency_p50_us\": {p50_us:.1},");

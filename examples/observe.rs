@@ -119,16 +119,21 @@ fn watch_intervals(target: &Target) {
         QciDesign::ersfq_long_term(),
     ];
     let designs: Vec<QciDesign> = presets.iter().cycle().take(32).cloned().collect();
+    let analyze_batch = || {
+        for design in &designs {
+            let _ = qisim::try_analyze(design, target);
+        }
+    };
 
     // Interval 1: first batch, then force an export and mark the
     // interval boundary with a snapshot.
-    let _ = qisim::try_analyze_many(&designs, target);
+    analyze_batch();
     telemetry::flush_now();
     let mid = obs::snapshot();
 
     // Interval 2: second batch; its delta against `mid` holds only this
     // interval's samples.
-    let _ = qisim::try_analyze_many(&designs, target);
+    analyze_batch();
     telemetry::flush_now();
     let delta = obs::snapshot().delta_since(&mid);
 

@@ -2,8 +2,7 @@
 //! experiment in [`qisim::experiments::SUITE`] runs **concurrently** on
 //! the `qisim-par` pool and prints its paper-vs-measured rows in paper
 //! order, followed by a summary of each experiment's worst relative
-//! error. This is the in-workspace counterpart of the criterion bench
-//! harness (`crates/bench`), which needs registry access.
+//! error.
 //!
 //! Run with `cargo run --release --example paper_suite` — or pass id
 //! substrings to run a subset, e.g.

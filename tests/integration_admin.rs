@@ -1,7 +1,8 @@
 //! Integration tests for the HTTP admin plane and end-to-end request
 //! ids: probe endpoints next to a live service, `/metrics` scrapes that
 //! stay well-formed mid-burst, and one request's id showing up in its
-//! wire response, its chrome-trace span args, and its JSONL log records.
+//! wire response, its chrome-trace span args, and its JSONL log records
+//! (the engine's own `engine.stage` records included).
 
 use qisim_serve::{proto, AdminServer, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -98,8 +99,8 @@ fn statusz_reports_service_and_stage_state() {
     for want in [
         "qisim-serve statusz",
         "uptime_s = ",
-        "queue_depth = 0",
-        "queue_cap = ",
+        "inflight = 0",
+        "inflight_cap = ",
         "requests = 1; ok = 1; errors = 0; shed = 0",
     ] {
         assert!(body.contains(want), "statusz missing {want:?}:\n{body}");
@@ -242,4 +243,44 @@ fn request_id_threads_response_trace_and_log() {
 
     let _ = std::fs::remove_file(&log_path);
     let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+#[test]
+fn engine_stage_log_records_carry_the_request_id() {
+    let _l = lock();
+    if !qisim_obs::enabled() {
+        return; // obs compiled out: no logs
+    }
+    let log_path = temp_path("stage.log.jsonl");
+    assert!(
+        qisim_obs::log::start(&log_path.to_string_lossy(), qisim_obs::log::Level::Debug),
+        "arm the JSONL logger at debug"
+    );
+    // A plain, untraced standard-fridge request: the most common kind.
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind service");
+    let stream = TcpStream::connect(server.addr()).expect("connect service");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "preset = cmos_baseline").expect("send");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("receive");
+    server.shutdown();
+    assert!(qisim_obs::log::shutdown());
+
+    assert_eq!(proto::response_kind(&response), Some(proto::ResponseKind::Ok));
+    let rid = proto::response_request_id(&response).expect("response carries request_id");
+    let log = std::fs::read_to_string(&log_path).expect("read log");
+    let stages: Vec<&str> =
+        log.lines().filter(|l| l.contains("\"event\":\"engine.stage\"")).collect();
+    for stage in ["inventory", "schedule", "power", "logical_error", "verdict"] {
+        assert!(
+            stages.iter().any(|l| l.contains(&format!("\"stage\":\"{stage}\""))),
+            "log must carry an engine.stage record for {stage}:\n{log}"
+        );
+    }
+    let stamp = format!("\"request_id\":{rid}");
+    for record in &stages {
+        assert!(record.contains(&stamp), "engine.stage record lacks {stamp}: {record}");
+    }
+    let _ = std::fs::remove_file(&log_path);
 }

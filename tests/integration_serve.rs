@@ -1,9 +1,10 @@
-//! End-to-end tests of the `qisim-serve` batch analysis service: the
+//! End-to-end tests of the `qisim-serve` analysis service: the
 //! stdin/stdout framing round-trips every paper preset bit-identically
 //! to a direct engine call, malformed requests become typed errors with
 //! the service still alive, concurrent TCP clients get the same bytes a
-//! direct `try_analyze_spec` produces, and a saturated queue sheds with
-//! an observable `busy` response instead of queueing without bound.
+//! direct `try_analyze_spec` produces, a burst past the in-flight limit
+//! sheds with an observable `busy` response, and a client that never
+//! reads its responses holds up neither other clients nor shutdown.
 
 use qisim::codec;
 use qisim::engine;
@@ -11,9 +12,9 @@ use qisim::spec::Preset;
 use qisim::surface::target::Target;
 use qisim_serve::{proto, serve_lines, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Cursor, Write};
-use std::net::TcpStream;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 /// Serializes tests: service counters, the flight recorder, and the
 /// `qisim-obs` registry are process-global.
@@ -86,8 +87,7 @@ fn stdio_round_trips_every_paper_preset_bit_identically() {
 fn estimator_requests_round_trip_each_engine_bit_identically() {
     let _guard = lock();
     // One round trip per estimator value, each bit-identical to the
-    // direct try_analyze_spec path (the Monte-Carlo estimators bypass
-    // the grouped try_analyze_many fan-out inside the service).
+    // direct try_analyze_spec path.
     let mut input = String::new();
     let mut expected = String::new();
     for estimator in ["packed", "sliced", "rare"] {
@@ -234,32 +234,43 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
     let _guard = lock();
     let before_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
     let config = ServeConfig {
-        queue_depth: 1,
-        batch_max: 1,
-        // Fault injection: make each batch slow so a pipelined burst
-        // must overflow the depth-1 queue.
-        batch_delay: Duration::from_millis(25),
+        max_inflight: 1,
+        // Fault injection: each admitted request holds the only in-flight
+        // slot for 25 ms, so a burst across concurrent connections must
+        // overflow it.
+        delay: Duration::from_millis(25),
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
+    let addr = server.addr();
     const BURST: usize = 16;
-    for i in 0..BURST {
-        writeln!(writer, "id = {i}; preset = cmos_baseline").expect("send");
-    }
+    let start = Arc::new(Barrier::new(BURST));
+    let clients: Vec<_> = (0..BURST)
+        .map(|i| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut writer = stream.try_clone().expect("clone stream");
+                let mut reader = BufReader::new(stream);
+                // Every connection is open before any request is sent.
+                start.wait();
+                writeln!(writer, "id = {i}; preset = cmos_baseline").expect("send");
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("receive");
+                response
+            })
+        })
+        .collect();
     let mut ok = 0u64;
     let mut busy = 0u64;
-    for _ in 0..BURST {
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("receive");
+    for client in clients {
+        let response = client.join().expect("client thread");
         match proto::response_kind(&response) {
             Some(proto::ResponseKind::Ok) => ok += 1,
             Some(proto::ResponseKind::Busy) => {
                 assert!(
                     proto::pair_value(&response, "reason")
-                        .is_some_and(|r| r.contains("queue full")),
+                        .is_some_and(|r| r.contains("in-flight limit reached (1/1)")),
                     "{response}"
                 );
                 busy += 1;
@@ -268,9 +279,12 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
         }
     }
     assert_eq!(ok + busy, BURST as u64, "every request is answered");
-    assert!(busy >= 1, "a depth-1 queue under a {BURST}-deep burst must shed");
-    assert!(ok >= 1, "shedding must not starve the queue entirely");
+    assert!(busy >= 1, "an in-flight limit of 1 under a {BURST}-connection burst must shed");
+    assert!(ok >= 1, "shedding must not starve the service entirely");
     // Shed is backpressure, not failure: the service keeps answering.
+    let stream = TcpStream::connect(addr).expect("connect after shed burst");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
     writeln!(writer, "id = after; preset = rsfq_baseline").expect("send");
     let mut response = String::new();
     reader.read_line(&mut response).expect("read after shed burst");
@@ -287,6 +301,60 @@ fn overload_sheds_with_busy_responses_and_the_service_stays_up() {
         let after_shed = qisim_obs::snapshot().counter("serve.shed").unwrap_or(0);
         assert_eq!(after_shed - before_shed, busy, "serve.shed must count every busy response");
     }
+}
+
+/// Connects a client that pipelines request lines and never reads a
+/// response. Returns once the client's own send makes no progress: the
+/// server has stopped reading it, which it only does while blocked
+/// writing responses nobody reads.
+fn never_reading_client(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_write_timeout(Some(Duration::from_millis(200))).expect("set write timeout");
+    let chunk = "preset = cmos_baseline\n".repeat(1024);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut writer = &stream;
+    while Instant::now() < deadline {
+        if writer.write_all(chunk.as_bytes()).is_err() {
+            return stream;
+        }
+    }
+    panic!("the server kept reading a client that never reads its responses");
+}
+
+#[test]
+fn a_client_that_never_reads_does_not_wedge_other_clients() {
+    let _guard = lock();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let stuck = never_reading_client(server.addr());
+    let line = "id = b; preset = cmos_baseline";
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{line}").expect("send");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("an answer while another client is stuck");
+    assert_eq!(proto::strip_request_id(&response), expected_response(line));
+    drop(stuck);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_while_a_client_that_never_reads_stays_connected() {
+    let _guard = lock();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let stuck = never_reading_client(server.addr());
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    // The stuck connection's response write times out and closes it;
+    // shutdown must not wait on the client.
+    let stats = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown must return while a never-reading client is connected");
+    assert!(stats.ok >= 1, "the stuck client's early requests were answered");
+    drop(stuck);
 }
 
 #[test]
@@ -391,9 +459,8 @@ fn invalid_topology_requests_get_typed_errors() {
 #[test]
 fn multi_fridge_requests_mixed_into_batches_stay_bit_identical() {
     let _guard = lock();
-    // Scale-out requests run individually (they are excluded from the
-    // grouped fan-out), but interleaving them with groupable classic
-    // requests must not perturb either side's bytes or ordering.
+    // Interleaving scale-out requests with classic single-fridge ones
+    // must not perturb either side's bytes or ordering.
     let lines: Vec<String> = (0..12)
         .map(|i| {
             let preset = Preset::ALL[i % Preset::ALL.len()].id();
