@@ -134,10 +134,6 @@ pub fn par_map<T: Sync, U: Send, F: Fn(&T) -> U + Sync>(items: &[T], f: F) -> Ve
 /// derive per-chunk state (an RNG stream, a scratch arena) from the chunk
 /// index get bit-identical aggregates at any parallelism.
 ///
-/// The bit-sliced Monte-Carlo engine drives this with `chunk` a multiple
-/// of 64, so every parallel work unit is a whole number of 64-trial
-/// lane words.
-///
 /// # Panics
 ///
 /// Panics if `chunk == 0`.

@@ -173,6 +173,12 @@ pub struct PackedLattice {
     z_support_idx: Vec<usize>,
     /// Per-check offsets into `z_support_idx` (`n_z_checks + 1` entries).
     z_support_off: Vec<usize>,
+    /// Inverse of the support table: qubit `q`'s Z-checks are
+    /// `qubit_checks_idx[qubit_checks_off[q] .. qubit_checks_off[q+1]]`
+    /// (at most two: same-type checks tile the lattice).
+    qubit_checks_idx: Vec<usize>,
+    /// Per-qubit offsets into `qubit_checks_idx` (`n_qubits + 1` entries).
+    qubit_checks_off: Vec<usize>,
     /// Logical-`Z̄` support mask (the top row).
     logical_z_mask: Vec<u64>,
     /// Logical-`Z̄` support qubit indices (the top row, ascending).
@@ -198,6 +204,24 @@ impl PackedLattice {
             }
             z_support_off.push(z_support_idx.len());
         }
+        // Invert the support CSR by counting, prefix-summing and filling;
+        // checks are visited in ascending order, so each qubit's list is
+        // ascending too.
+        let mut qubit_checks_off = vec![0usize; n_qubits + 1];
+        for &q in &z_support_idx {
+            qubit_checks_off[q + 1] += 1;
+        }
+        for q in 0..n_qubits {
+            qubit_checks_off[q + 1] += qubit_checks_off[q];
+        }
+        let mut cursor = qubit_checks_off.clone();
+        let mut qubit_checks_idx = vec![0usize; z_support_idx.len()];
+        for i in 0..n_z_checks {
+            for &q in &z_support_idx[z_support_off[i]..z_support_off[i + 1]] {
+                qubit_checks_idx[cursor[q]] = i;
+                cursor[q] += 1;
+            }
+        }
         let mut logical_z_mask = vec![0u64; qubit_words];
         let logical_z_idx = lattice.logical_z();
         for &q in &logical_z_idx {
@@ -211,6 +235,8 @@ impl PackedLattice {
             z_support,
             z_support_idx,
             z_support_off,
+            qubit_checks_idx,
+            qubit_checks_off,
             logical_z_mask,
             logical_z_idx,
         }
@@ -290,6 +316,29 @@ impl PackedLattice {
             any |= bit;
         }
         any != 0
+    }
+
+    /// Z-syndrome of the X-error pattern whose flipped qubits are
+    /// `positions` (distinct), in the packed per-trial layout of
+    /// [`Self::z_syndrome_into`]: each error toggles the at most two
+    /// checks it touches, so the cost follows the error weight, not the
+    /// check count. Overwrites `syndrome` entirely.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not a data qubit; debug-asserts the
+    /// slice size.
+    #[inline]
+    pub fn z_syndrome_of_positions(&self, positions: &[u32], syndrome: &mut [u64]) {
+        debug_assert_eq!(syndrome.len(), self.syndrome_words);
+        syndrome.fill(0);
+        for &q in positions {
+            let q = q as usize;
+            for &c in &self.qubit_checks_idx[self.qubit_checks_off[q]..self.qubit_checks_off[q + 1]]
+            {
+                Self::flip_bit(syndrome, c);
+            }
+        }
     }
 
     /// Whether a packed X-error pattern anticommutes with the logical
@@ -386,25 +435,6 @@ impl PackedLattice {
             any |= acc;
         }
         any
-    }
-
-    /// Gathers lane `lane` of a sliced syndrome block into the packed
-    /// per-trial syndrome layout [`Self::z_syndrome_into`] produces (bit
-    /// `i` = check `i`). Overwrites `syndrome` entirely, so a fallback
-    /// lane can go straight to the scalar decoder without re-extracting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane ≥ 64`; debug-asserts the slice sizes.
-    #[inline]
-    pub fn gather_syndrome_lane(&self, sliced_syndrome: &[u64], lane: usize, syndrome: &mut [u64]) {
-        assert!(lane < 64, "a sliced block holds 64 lanes, got lane {lane}");
-        debug_assert_eq!(sliced_syndrome.len(), self.n_z_checks);
-        debug_assert_eq!(syndrome.len(), self.syndrome_words);
-        syndrome.fill(0);
-        for (i, word) in sliced_syndrome.iter().enumerate() {
-            syndrome[i >> 6] |= (word >> lane & 1) << (i & 63);
-        }
     }
 
     /// Per-lane logical-`X̄` verdicts of a sliced 64-trial error block:
@@ -512,6 +542,26 @@ mod tests {
     }
 
     #[test]
+    fn syndrome_of_positions_matches_the_word_wise_extraction() {
+        for d in [2usize, 3, 5, 9, 11] {
+            let l = Lattice::new(d);
+            let packed = PackedLattice::new(&l);
+            let mut expect = vec![0u64; packed.syndrome_words()];
+            let mut got = vec![!0u64; packed.syndrome_words()];
+            for (k, errs) in pseudo_random_trials(&packed, 40, 0xF1A7 ^ d as u64).iter().enumerate()
+            {
+                let positions: Vec<u32> = (0..packed.data_qubits())
+                    .filter(|&q| PackedLattice::get_bit(errs, q))
+                    .map(|q| q as u32)
+                    .collect();
+                packed.z_syndrome_into(errs, &mut expect);
+                packed.z_syndrome_of_positions(&positions, &mut got);
+                assert_eq!(got, expect, "d={d} pattern {k}");
+            }
+        }
+    }
+
+    #[test]
     fn packed_bit_ops_roundtrip() {
         let mut w = vec![0u64; 2];
         PackedLattice::set_bit(&mut w, 70);
@@ -569,12 +619,13 @@ mod tests {
             let any_mask = packed.z_syndrome_sliced(&sliced, &mut sliced_syn);
             let logical_mask = packed.logical_x_lanes(&sliced);
             let mut syn = vec![0u64; packed.syndrome_words()];
-            let mut gathered = vec![0u64; packed.syndrome_words()];
             for (lane, errs) in trials.iter().enumerate() {
                 let any = packed.z_syndrome_into(errs, &mut syn);
                 assert_eq!(any_mask >> lane & 1 != 0, any, "d={d} lane={lane}");
-                packed.gather_syndrome_lane(&sliced_syn, lane, &mut gathered);
-                assert_eq!(gathered, syn, "d={d} lane={lane}");
+                for (i, word) in sliced_syn.iter().enumerate() {
+                    let bit = word >> lane & 1 != 0;
+                    assert_eq!(bit, PackedLattice::get_bit(&syn, i), "d={d} lane={lane} check {i}");
+                }
                 assert_eq!(
                     logical_mask >> lane & 1 != 0,
                     packed.is_logical_x(errs),

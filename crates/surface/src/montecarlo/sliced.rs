@@ -9,9 +9,17 @@
 //! check), the zero-syndrome early exit (one OR-fold), and the
 //! logical-membrane parity check all run for 64 independent trials per
 //! word op. Only lanes whose syndrome is nonzero fall back to the scalar
-//! packed decoder, one gathered lane at a time — at `p = 10⁻³` that is a
-//! few percent of trials, so the per-trial cost collapses to the
-//! word-wide sampling and extraction.
+//! packed decoder, one lane at a time — at `p = 10⁻³` that is a few
+//! percent of trials, so the per-trial cost collapses to the word-wide
+//! sampling and extraction.
+//!
+//! The fallback path costs what the lane's errors cost, not what the
+//! lattice costs: the sampler records each lane's error positions as it
+//! places them, a fallback lane's syndrome is built by toggling the at
+//! most two Z-checks each of those errors touches
+//! ([`PackedLattice::z_syndrome_of_positions`]), a memo miss packs the
+//! same positions for the decoder, and the decoder itself resets and
+//! peels only the vertices its clusters touch.
 //!
 //! Two further fast paths carry the speedup without disturbing a single
 //! random draw or verdict:
@@ -21,12 +29,16 @@
 //!   ([`qisim_quantum::rng::Geometric::positions_fast_empty`]), so the
 //!   ~`(1−p)ⁿ` majority of lanes never pays a logarithm;
 //! * **a decoder-verdict memo** — the scalar decoder is a pure function
-//!   of the syndrome, so each fallback lane first looks its gathered
-//!   syndrome up in a hash memo of the correction's logical parity
+//!   of the syndrome, so each fallback lane whose syndrome has at most
+//!   two defects (a single error's) first looks it up in a hash memo of
+//!   the correction's logical parity
 //!   (`failure ⟺ parity(error) ⊕ parity(correction)`, and the error
 //!   parity is already word-wide in the logical-lane mask). Low-weight
 //!   syndromes dominate at small `p`, so warm lanes skip the decode and
-//!   even the error-lane gather entirely.
+//!   even the packing of the error lane. The memo lives in the
+//!   [`SlicedScratch`], which the serial estimator holds for the whole
+//!   run and the parallel one holds once per worker for the worker's
+//!   whole contiguous trial range.
 //!
 //! # Reference equivalence
 //!
@@ -53,6 +65,16 @@ use qisim_quantum::rng::{open01_from_mantissa53, Rng, Xorshift64Star};
 /// evictions just degrade gracefully to decoding every fallback lane.
 const MEMO_SLOTS: usize = 1 << 12;
 
+/// Largest defect count a syndrome may have to be looked up in, or
+/// stored into, the verdict cache. One error trips at most two checks,
+/// so this admits every single-error syndrome (at most `d²` of them, the
+/// ones that repeat); heavier syndromes are sums of several errors,
+/// almost never recur on a large lattice, and would only evict the
+/// single-error entries. Measured at d = 23, p = 2·10⁻³, 32,768 trials:
+/// one scratch at seed `0x51C0DE` answers 52% of the fallback lanes
+/// from the memo with this gate, 48% without.
+const MEMO_MAX_DEFECTS: u32 = 2;
+
 /// Multiply-xor mix of packed syndrome words into a cache slot index
 /// (SplitMix64-style finalizer). A slot conflict only costs a full-key
 /// mismatch and a re-decode — never a wrong verdict.
@@ -78,8 +100,9 @@ pub struct SlicedStats {
     /// Lanes with errors but an all-zero syndrome: decode skipped, only
     /// the word-wide logical parity check ran.
     pub zero_syndrome_lanes: u64,
-    /// Lanes gathered back to the packed layout and sent through the
-    /// scalar decoder (the fallback path).
+    /// Lanes with a nonzero syndrome, resolved one at a time in the
+    /// packed layout by the scalar decoder or its memo (the fallback
+    /// path).
     pub fallback_trials: u64,
     /// Fallback lanes resolved by replaying the decoder's memoized
     /// verdict for their syndrome instead of re-decoding.
@@ -97,27 +120,38 @@ impl SlicedStats {
 }
 
 /// Reusable buffers of the sliced kernel: the transposed error/syndrome
-/// blocks plus one packed trial's worth of scratch for the fallback
-/// decoder. One allocation per batch (or parallel chunk), zero per trial.
+/// blocks, the current word's sampled error positions, one packed
+/// trial's worth of scratch for the fallback decoder, and the verdict
+/// memo. One allocation per batch (or per parallel worker's trial
+/// range), zero per trial; the memo stays warm for as long as the
+/// scratch lives.
 #[derive(Debug, Clone)]
 pub struct SlicedScratch {
     /// Transposed errors: one word per data qubit.
     sliced_errs: Vec<u64>,
     /// Transposed syndromes: one word per Z-check.
     sliced_syn: Vec<u64>,
-    /// One gathered lane in the packed per-trial layout.
+    /// Error positions sampled for the current 64-trial word, lane after
+    /// lane in sampling order; cleared per word, so its capacity settles
+    /// at the densest word seen and it stops allocating.
+    positions: Vec<u32>,
+    /// Lane `l`'s slice of `positions` (`start..end`); only lanes with a
+    /// sampled error are written, and only those are read back.
+    lane_positions: [(u32, u32); 64],
+    /// One fallback lane's errors in the packed per-trial layout.
     packed_errs: Vec<u64>,
-    /// One gathered lane's syndrome in the packed layout.
+    /// One fallback lane's syndrome in the packed layout.
     syndrome: Vec<u64>,
     /// Scalar decoder arena for the fallback lanes.
     decoder: DecoderScratch,
     /// Direct-mapped decoder-verdict cache, [`MEMO_SLOTS`] slots of
-    /// `syndrome_words` keys each: packed syndrome → logical parity of
+    /// `syndrome_words` keys each, admitting syndromes of at most
+    /// [`MEMO_MAX_DEFECTS`] defects: packed syndrome → logical parity of
     /// the correction [`decode_into`] returns for it. The decoder is a
     /// pure function of the syndrome, so a repeat syndrome replays its
     /// verdict — `outcome(lane) = parity(error) ⊕ memo[syndrome]` — with
-    /// no gather of the error lane and no decode. Conflicts overwrite;
-    /// the cache persists across batches.
+    /// no packing of the error lane and no decode. Conflicts overwrite;
+    /// the cache persists across batches, for the scratch's lifetime.
     memo_keys: Vec<u64>,
     /// Slot-validity bitset of the verdict cache.
     memo_valid: Vec<u64>,
@@ -132,6 +166,8 @@ impl SlicedScratch {
         SlicedScratch {
             sliced_errs: vec![0; packed.sliced_words()],
             sliced_syn: vec![0; packed.sliced_syndrome_words()],
+            positions: Vec::new(),
+            lane_positions: [(0, 0); 64],
             packed_errs: vec![0; packed.qubit_words()],
             syndrome: vec![0; graph.syndrome_words()],
             decoder: DecoderScratch::new(graph),
@@ -187,8 +223,10 @@ pub fn run_trials_sliced(
         let active_mask = if active == 64 { !0u64 } else { (1u64 << active) - 1 };
         scratch.stats.words += 1;
         scratch.sliced_errs.fill(0);
+        scratch.positions.clear();
         // Sample errors lane by lane, straight into the transposed
-        // layout: lane l of word q is qubit q in trial start + l.
+        // layout (lane l of word q is qubit q in trial start + l), and
+        // record each lane's positions for its fallback syndrome.
         let mut any_err_mask = 0u64;
         let base = (first_trial + start) as u64;
         if let ErrorSampler::Skip(geo) = &sampler {
@@ -208,21 +246,33 @@ pub fn run_trials_sliced(
                 let mut rng = Xorshift64Star::stream(seed, base.wrapping_add(l as u64));
                 let _ = rng.next_u64(); // pass 1 consumed this draw
                 let bit = 1u64 << l;
-                let errs = &mut scratch.sliced_errs;
+                let (errs, positions) = (&mut scratch.sliced_errs, &mut scratch.positions);
+                let from = positions.len() as u32;
                 let u = open01_from_mantissa53(first[l]);
-                if geo.positions_from_first(n, u, empty_threshold, &mut rng, |q| errs[q] |= bit) {
+                let place = |q: usize| {
+                    errs[q] |= bit;
+                    positions.push(q as u32);
+                };
+                if geo.positions_from_first(n, u, empty_threshold, &mut rng, place) {
                     any_err_mask |= bit;
                 }
+                scratch.lane_positions[l] = (from, scratch.positions.len() as u32);
             }
         } else {
             // Degenerate p = 0 / p = 1: no draws, no gate.
             let mut lanes = Xorshift64Star::streams64(seed, base);
             for (l, rng) in lanes.iter_mut().take(active).enumerate() {
                 let bit = 1u64 << l;
-                let errs = &mut scratch.sliced_errs;
-                if sampler.sample(n, rng, |q| errs[q] |= bit) {
+                let (errs, positions) = (&mut scratch.sliced_errs, &mut scratch.positions);
+                let from = positions.len() as u32;
+                let place = |q: usize| {
+                    errs[q] |= bit;
+                    positions.push(q as u32);
+                };
+                if sampler.sample(n, rng, place) {
                     any_err_mask |= bit;
                 }
+                scratch.lane_positions[l] = (from, scratch.positions.len() as u32);
             }
         }
         scratch.stats.empty_lanes += (active_mask & !any_err_mask).count_ones() as u64;
@@ -239,32 +289,44 @@ pub fn run_trials_sliced(
         let zero_syn = any_err_mask & !any_syn_mask;
         scratch.stats.zero_syndrome_lanes += zero_syn.count_ones() as u64;
         failures += (zero_syn & logical_mask).count_ones() as usize;
-        // Fallback: gather each nonzero-syndrome lane's syndrome and
-        // either replay the decoder's cached verdict for it or run the
-        // scalar decoder on the gathered lane (and cache the verdict).
+        // Fallback: build each nonzero-syndrome lane's syndrome from its
+        // sampled positions (≤ 2 checks per error) and either replay the
+        // decoder's cached verdict for it or run the scalar decoder
+        // (and cache the verdict).
         let words = scratch.syndrome.len();
         let mut fallback = any_syn_mask;
         while fallback != 0 {
             let lane = fallback.trailing_zeros() as usize;
             fallback &= fallback - 1;
             scratch.stats.fallback_trials += 1;
-            packed.gather_syndrome_lane(&scratch.sliced_syn, lane, &mut scratch.syndrome);
+            let (from, to) = scratch.lane_positions[lane];
+            let lane_positions = &scratch.positions[from as usize..to as usize];
+            packed.z_syndrome_of_positions(lane_positions, &mut scratch.syndrome);
             let err_parity = logical_mask >> lane & 1 == 1;
             // The decoder is a pure function of the syndrome, so the
             // logical parity of its correction replays from the cache:
             // failure ⟺ parity(error) ⊕ parity(correction).
-            let slot = syndrome_slot(&scratch.syndrome);
-            let key = &scratch.memo_keys[slot * words..(slot + 1) * words];
-            if scratch.memo_valid[slot >> 6] >> (slot & 63) & 1 == 1 && key == &*scratch.syndrome {
-                scratch.stats.memo_hits += 1;
-                let corr_parity = scratch.memo_verdict[slot >> 6] >> (slot & 63) & 1 == 1;
-                failures += (err_parity ^ corr_parity) as usize;
-                continue;
+            let defects: u32 = scratch.syndrome.iter().map(|w| w.count_ones()).sum();
+            let slot = (defects <= MEMO_MAX_DEFECTS).then(|| syndrome_slot(&scratch.syndrome));
+            if let Some(slot) = slot {
+                let key = &scratch.memo_keys[slot * words..(slot + 1) * words];
+                if scratch.memo_valid[slot >> 6] >> (slot & 63) & 1 == 1
+                    && key == &*scratch.syndrome
+                {
+                    scratch.stats.memo_hits += 1;
+                    let corr_parity = scratch.memo_verdict[slot >> 6] >> (slot & 63) & 1 == 1;
+                    failures += (err_parity ^ corr_parity) as usize;
+                    continue;
+                }
+                // Claim the slot before decoding: the debug residual
+                // check below overwrites `scratch.syndrome` in debug builds.
+                scratch.memo_keys[slot * words..(slot + 1) * words]
+                    .copy_from_slice(&scratch.syndrome);
             }
-            // Claim the slot before decoding: the debug residual check
-            // below overwrites `scratch.syndrome` in debug builds.
-            scratch.memo_keys[slot * words..(slot + 1) * words].copy_from_slice(&scratch.syndrome);
-            packed.gather_lane(&scratch.sliced_errs, lane, &mut scratch.packed_errs);
+            scratch.packed_errs.fill(0);
+            for &q in lane_positions {
+                PackedLattice::set_bit(&mut scratch.packed_errs, q as usize);
+            }
             for &q in decode_into(graph, &scratch.syndrome, &mut scratch.decoder) {
                 PackedLattice::flip_bit(&mut scratch.packed_errs, q);
             }
@@ -274,12 +336,14 @@ pub fn run_trials_sliced(
             );
             let failed = packed.is_logical_x(&scratch.packed_errs);
             failures += failed as usize;
-            scratch.memo_valid[slot >> 6] |= 1 << (slot & 63);
-            let verdict_bit = 1u64 << (slot & 63);
-            if failed ^ err_parity {
-                scratch.memo_verdict[slot >> 6] |= verdict_bit;
-            } else {
-                scratch.memo_verdict[slot >> 6] &= !verdict_bit;
+            if let Some(slot) = slot {
+                scratch.memo_valid[slot >> 6] |= 1 << (slot & 63);
+                let verdict_bit = 1u64 << (slot & 63);
+                if failed ^ err_parity {
+                    scratch.memo_verdict[slot >> 6] |= verdict_bit;
+                } else {
+                    scratch.memo_verdict[slot >> 6] &= !verdict_bit;
+                }
             }
         }
         start += active;
@@ -305,12 +369,6 @@ fn flush_sliced_obs(trials: usize, failures: usize, stats: SlicedStats, dec: Dec
         dec,
     );
 }
-
-/// Trials per parallel chunk of [`logical_error_rate_sliced_par`]: four
-/// whole 64-trial lane words, matching the scalar path's
-/// [`super::CHUNK_TRIALS`] so the two estimators parallelize at the same
-/// granularity.
-pub const SLICED_CHUNK_TRIALS: usize = 256;
 
 /// Estimates the logical-X error rate with the bit-sliced 64-trials-per-
 /// word kernel, serially.
@@ -359,13 +417,16 @@ pub fn logical_error_rate_sliced(
     McEstimate { logical_error: failures as f64 / trials as f64, trials, failures }
 }
 
-/// Estimates the logical-X error rate with the bit-sliced kernel,
-/// running [`SLICED_CHUNK_TRIALS`]-trial chunks (whole 64-trial lane
-/// words) on the [`qisim_par`] pool.
+/// Estimates the logical-X error rate with the bit-sliced kernel on the
+/// [`qisim_par`] pool: the trials are split into [`qisim_par::threads`]
+/// contiguous ranges of whole 64-trial lane words, one per worker, and
+/// each worker runs its range with one [`SlicedScratch`], so its
+/// decoder-verdict memo stays warm across the whole range.
 ///
 /// Because the lane→stream map depends only on the global trial index,
-/// this is bit-identical to [`logical_error_rate_sliced`] — not merely
-/// to itself across thread counts.
+/// and the memo only replays verdicts the decoder would return, this is
+/// bit-identical to [`logical_error_rate_sliced`] — not merely to itself
+/// across thread counts.
 ///
 /// # Panics
 ///
@@ -381,11 +442,16 @@ pub fn logical_error_rate_sliced_par(
     qisim_obs::span!("surface.montecarlo.sliced.par");
     let graph = DecodingGraph::new(lattice, false);
     let packed = PackedLattice::new(lattice);
-    let per_chunk: Vec<(usize, SlicedStats, DecodeStats)> =
-        qisim_par::par_map_chunked(trials, SLICED_CHUNK_TRIALS, |_, start, len| {
+    let words = trials.div_ceil(64);
+    let workers = qisim_par::threads().min(words);
+    let per_worker: Vec<(usize, SlicedStats, DecodeStats)> =
+        qisim_par::par_map_indices(workers, |w| {
+            let start = words * w / workers * 64;
+            let end = (words * (w + 1) / workers * 64).min(trials);
             let mut scratch = SlicedScratch::new(&packed, &graph);
             let t0 = qisim_obs::enabled().then(std::time::Instant::now);
-            let failures = run_trials_sliced(&packed, &graph, p, len, seed, start, &mut scratch);
+            let failures =
+                run_trials_sliced(&packed, &graph, p, end - start, seed, start, &mut scratch);
             if let Some(t0) = t0 {
                 qisim_obs::observe!(
                     "surface.montecarlo.trial_batch_ns",
@@ -398,7 +464,7 @@ pub fn logical_error_rate_sliced_par(
     let mut failures = 0usize;
     let mut stats = SlicedStats::default();
     let mut dec = DecodeStats::default();
-    for (f, s, d) in per_chunk {
+    for (f, s, d) in per_worker {
         failures += f;
         stats.merge(s);
         dec.decodes += d.decodes;
@@ -455,8 +521,9 @@ mod tests {
 
     #[test]
     fn remainder_blocks_are_neither_dropped_nor_double_counted() {
-        // 63, 64, 65 straddle one lane word; 257 straddles the parallel
-        // chunk boundary (256 = 4 words) with a one-trial tail.
+        // 63, 64, 65 straddle one lane word; 257 is five words whose
+        // last holds one trial, split into uneven worker ranges (2 + 3
+        // words at two threads, 1 + 2 + 2 at three).
         let l = Lattice::new(5);
         for trials in [63usize, 64, 65, 257] {
             let seed = 0xB10C ^ trials as u64;
@@ -486,29 +553,51 @@ mod tests {
 
     #[test]
     fn sliced_stats_partition_the_trials() {
-        let l = Lattice::new(7);
-        let graph = DecodingGraph::new(&l, false);
-        let packed = PackedLattice::new(&l);
-        let mut scratch = SlicedScratch::new(&packed, &graph);
-        let trials = 2048usize;
-        let _ = run_trials_sliced(&packed, &graph, 0.002, trials, 3, 0, &mut scratch);
-        let (stats, dec) = scratch.take_stats();
-        assert_eq!(stats.words, (trials as u64).div_ceil(64));
-        assert_eq!(
-            stats.empty_lanes + stats.zero_syndrome_lanes + stats.fallback_trials,
-            trials as u64,
-            "{stats:?}"
-        );
-        assert!(stats.empty_lanes > stats.fallback_trials, "p=0.002 is mostly empty lanes");
-        assert_eq!(
-            dec.decodes + stats.memo_hits,
-            stats.fallback_trials,
-            "every fallback lane is either decoded or replayed from the memo: {stats:?}"
-        );
-        assert!(stats.memo_hits > 0, "repeat low-weight syndromes must hit the memo: {stats:?}");
-        // Second batch accumulates from zero after take_stats.
-        let _ = run_trials_sliced(&packed, &graph, 0.5, 10, 3, 0, &mut scratch);
-        assert_eq!(scratch.stats().words, 1);
+        // d = 7 is the bench lattice; d = 23 at 32,768 trials is one
+        // worker's range of an engine estimate on a one-thread machine.
+        for (d, trials) in [(7usize, 2048usize), (23, 32_768)] {
+            let l = Lattice::new(d);
+            let graph = DecodingGraph::new(&l, false);
+            let packed = PackedLattice::new(&l);
+            let mut scratch = SlicedScratch::new(&packed, &graph);
+            let _ = run_trials_sliced(&packed, &graph, 0.002, trials, 3, 0, &mut scratch);
+            let (stats, dec) = scratch.take_stats();
+            assert_eq!(stats.words, (trials as u64).div_ceil(64));
+            assert_eq!(
+                stats.empty_lanes + stats.zero_syndrome_lanes + stats.fallback_trials,
+                trials as u64,
+                "d={d}: {stats:?}"
+            );
+            assert_eq!(
+                dec.decodes + stats.memo_hits,
+                stats.fallback_trials,
+                "d={d}: every fallback lane is either decoded or replayed from the memo: {stats:?}"
+            );
+            if d == 7 {
+                assert!(stats.empty_lanes > stats.fallback_trials, "p=0.002 is mostly empty lanes");
+                assert!(stats.memo_hits > 0, "repeat syndromes must hit the memo: {stats:?}");
+            } else {
+                // One memo for the whole range: most fallback lanes carry
+                // a syndrome an earlier lane already had decoded.
+                assert!(stats.memo_hits > dec.decodes, "d={d}: {stats:?} {dec:?}");
+            }
+            // Second batch accumulates from zero after take_stats.
+            let _ = run_trials_sliced(&packed, &graph, 0.5, 10, 3, 0, &mut scratch);
+            assert_eq!(scratch.stats().words, 1);
+        }
+    }
+
+    #[test]
+    fn sliced_par_matches_serial_at_the_engine_operating_point() {
+        // The engine's sliced estimate: d = 23, 32,768 trials, its seed.
+        let l = Lattice::new(23);
+        let (p, trials, seed) = (2e-3, 32_768, 0x51_C0DE);
+        let serial = logical_error_rate_sliced(&l, p, trials, seed);
+        for threads in [1usize, 2, 3] {
+            qisim_par::set_threads(Some(threads));
+            assert_eq!(logical_error_rate_sliced_par(&l, p, trials, seed), serial, "{threads}");
+        }
+        qisim_par::set_threads(None);
     }
 
     #[test]

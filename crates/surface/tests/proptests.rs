@@ -1,12 +1,12 @@
-//! Property-based tests of the surface-code substrate.
+//! Property tests of the surface-code substrate, run as seeded loops.
 //!
-//! Requires the `proptest` crate, which the offline reference build
-//! cannot fetch; enable with `cargo test --features proptest` on a
-//! machine with registry access (and add the dev-dependency back).
+//! Each property draws its inputs from its own
+//! [`Xorshift64Star`] stream (`CASES` cases per property), so the suite
+//! is deterministic, needs no external crate and runs in the tier-1
+//! gate. A failing case names its property seed and case index; replay
+//! it with `Xorshift64Star::stream(seed, case)`.
 
-#![cfg(feature = "proptest")]
-
-use proptest::prelude::*;
+use qisim_quantum::rng::{Rng, Xorshift64Star};
 use qisim_surface::analytic::{cmos_budget, sfq_budget, CALIBRATION};
 use qisim_surface::decoder::{
     decode, decode_into, decode_reference, DecoderScratch, DecodingGraph,
@@ -14,70 +14,95 @@ use qisim_surface::decoder::{
 use qisim_surface::montecarlo::{run_trials_packed, run_trials_reference, McScratch};
 use qisim_surface::{Lattice, PackedLattice};
 
-fn errors_strategy(d: usize) -> impl Strategy<Value = Vec<bool>> {
-    proptest::collection::vec(proptest::bool::weighted(0.08), d * d)
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// Runs `property` on `CASES` independent streams derived from `seed`;
+/// case `i` gets `Xorshift64Star::stream(seed, i)` and its index.
+fn for_cases(seed: u64, mut property: impl FnMut(&mut Xorshift64Star, u64)) {
+    for case in 0..CASES {
+        property(&mut Xorshift64Star::stream(seed, case), case);
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A uniform draw from `lo..hi`.
+fn range(rng: &mut Xorshift64Star, lo: usize, hi: usize) -> usize {
+    lo + rng.gen_below((hi - lo) as u64) as usize
+}
 
-    /// The union-find decoder always returns the state to the codespace:
-    /// after applying its correction the syndrome is empty, for any error
-    /// pattern.
-    #[test]
-    fn decoder_always_clears_the_syndrome(d in 3usize..9, seed_errors in errors_strategy(8)) {
+/// A uniform draw from `[lo, hi)`.
+fn uniform(rng: &mut Xorshift64Star, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.gen_f64()
+}
+
+/// `len` flags, each set with probability 0.08.
+fn error_flags(rng: &mut Xorshift64Star, len: usize) -> Vec<bool> {
+    (0..len).map(|_| rng.gen_f64() < 0.08).collect()
+}
+
+/// A `d × d` X-error pattern folded from `d_max²` weighted flags: qubit
+/// `i mod d²` flips once per set flag at `i`.
+fn folded_errors(rng: &mut Xorshift64Star, d: usize, d_max: usize) -> Vec<bool> {
+    let n = d * d;
+    let mut errs = vec![false; n];
+    for (i, e) in error_flags(rng, d_max * d_max).into_iter().enumerate() {
+        errs[i % n] ^= e;
+    }
+    errs
+}
+
+/// The union-find decoder always returns the state to the codespace:
+/// after applying its correction the syndrome is empty, for any error
+/// pattern.
+#[test]
+fn decoder_always_clears_the_syndrome() {
+    for_cases(0xC1EA, |rng, case| {
+        let d = range(rng, 3, 9);
         let lattice = Lattice::new(d);
-        let n = lattice.data_qubits();
-        let mut errs = vec![false; n];
-        for (i, e) in seed_errors.iter().enumerate() {
-            errs[i % n] ^= e;
-        }
+        let mut errs = folded_errors(rng, d, 8);
         let graph = DecodingGraph::new(&lattice, false);
         let syndrome = lattice.z_syndrome(&errs);
         for q in decode(&graph, &syndrome) {
             errs[q] ^= true;
         }
         let residual = lattice.z_syndrome(&errs);
-        prop_assert!(residual.iter().all(|b| !b), "residual syndrome at d={d}");
-    }
+        assert!(residual.iter().all(|b| !b), "case {case}: residual syndrome at d={d}");
+    });
+}
 
-    /// The allocation-free frontier engine returns exactly the oracle's
-    /// correction for any syndrome, and both clear every syndrome they
-    /// are handed.
-    #[test]
-    fn arena_decoder_matches_oracle_and_clears_syndromes(
-        d in 3usize..10,
-        seed_errors in errors_strategy(9),
-    ) {
+/// The allocation-free frontier engine returns exactly the oracle's
+/// correction for any syndrome, and both clear every syndrome they are
+/// handed.
+#[test]
+fn arena_decoder_matches_oracle_and_clears_syndromes() {
+    for_cases(0xA7E4A, |rng, case| {
+        let d = range(rng, 3, 10);
         let lattice = Lattice::new(d);
-        let n = lattice.data_qubits();
-        let mut errs = vec![false; n];
-        for (i, e) in seed_errors.iter().enumerate() {
-            errs[i % n] ^= e;
-        }
+        let mut errs = folded_errors(rng, d, 9);
         let graph = DecodingGraph::new(&lattice, false);
         let syndrome = lattice.z_syndrome(&errs);
         let oracle = decode_reference(&graph, &syndrome);
         let mut scratch = DecoderScratch::new(&graph);
         let fast = decode_into(&graph, &PackedLattice::pack(&syndrome), &mut scratch).to_vec();
-        prop_assert_eq!(&fast, &oracle, "corrections diverge at d={}", d);
+        assert_eq!(fast, oracle, "case {case}: corrections diverge at d={d}");
         for q in fast {
             errs[q] ^= true;
         }
-        prop_assert!(lattice.z_syndrome(&errs).iter().all(|b| !b), "residual syndrome at d={d}");
-    }
+        assert!(
+            lattice.z_syndrome(&errs).iter().all(|b| !b),
+            "case {case}: residual syndrome at d={d}"
+        );
+    });
+}
 
-    /// The bit-packed Monte-Carlo kernel and the bool-vec reference see
-    /// the same RNG stream and must count the same failures, bit for bit.
-    #[test]
-    fn packed_kernel_failure_counts_match_reference(
-        d_idx in 0usize..3,
-        p_idx in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        use qisim_quantum::rng::Xorshift64Star;
-        let d = [3usize, 5, 7][d_idx];
-        let p = [0.001f64, 0.01, 0.1][p_idx];
+/// The bit-packed Monte-Carlo kernel and the bool-vec reference see the
+/// same RNG stream and must count the same failures, bit for bit.
+#[test]
+fn packed_kernel_failure_counts_match_reference() {
+    for_cases(0x9AC4ED, |rng, case| {
+        let d = [3usize, 5, 7][range(rng, 0, 3)];
+        let p = [0.001f64, 0.01, 0.1][range(rng, 0, 3)];
+        let seed = rng.next_u64();
         let lattice = Lattice::new(d);
         let graph = DecodingGraph::new(&lattice, false);
         let packed = PackedLattice::new(&lattice);
@@ -86,34 +111,27 @@ proptest! {
         let mut rng_b = Xorshift64Star::seed_from_u64(seed);
         let fast = run_trials_packed(&packed, &graph, p, 200, &mut rng_a, &mut scratch);
         let oracle = run_trials_reference(&lattice, &graph, p, 200, &mut rng_b);
-        prop_assert_eq!(fast, oracle, "failure counts diverge at d={} p={}", d, p);
-    }
+        assert_eq!(fast, oracle, "case {case}: failure counts diverge at d={d} p={p}");
+    });
+}
 
-    /// The trial-transpose adapters are exact inverses: scattering 64
-    /// arbitrary packed error patterns into a sliced block and gathering
-    /// each lane back reproduces every pattern bit for bit, and the
-    /// sliced word-wide syndrome/logical verdicts match the per-trial
-    /// packed ones on every lane.
-    #[test]
-    fn scatter_gather_roundtrips_64_packed_lattices(
-        d_idx in 0usize..3,
-        patterns in proptest::collection::vec(
-            proptest::collection::vec(any::<u64>(), 1),
-            64,
-        ),
-    ) {
-        let d = [3usize, 5, 9][d_idx];
+/// The trial-transpose adapters are exact inverses: scattering 64
+/// arbitrary packed error patterns into a sliced block and gathering
+/// each lane back reproduces every pattern bit for bit, and the sliced
+/// word-wide syndrome/logical verdicts match the per-trial packed ones
+/// on every lane.
+#[test]
+fn scatter_gather_roundtrips_64_packed_lattices() {
+    for_cases(0x5CA77E, |rng, case| {
+        let d = [3usize, 5, 9][range(rng, 0, 3)];
         let lattice = Lattice::new(d);
         let packed = PackedLattice::new(&lattice);
-        // Expand each arbitrary u64 seed into an arbitrary packed trial.
-        let trials: Vec<Vec<u64>> = patterns
-            .iter()
-            .map(|seed| {
-                let mut state = seed[0] | 1;
+        // Each lane flips every qubit with probability 1/2.
+        let trials: Vec<Vec<u64>> = (0..64)
+            .map(|_| {
                 let mut errs = vec![0u64; packed.qubit_words()];
                 for q in 0..packed.data_qubits() {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    if state >> 63 != 0 {
+                    if rng.gen_bool() {
                         PackedLattice::set_bit(&mut errs, q);
                     }
                 }
@@ -131,77 +149,94 @@ proptest! {
         let mut syn = vec![0u64; packed.syndrome_words()];
         for (lane, errs) in trials.iter().enumerate() {
             packed.gather_lane(&sliced, lane, &mut back);
-            prop_assert_eq!(&back, errs, "round-trip diverged at d={} lane={}", d, lane);
+            assert_eq!(&back, errs, "case {case}: round-trip diverged at d={d} lane={lane}");
             let any = packed.z_syndrome_into(errs, &mut syn);
-            prop_assert_eq!(any_mask >> lane & 1 != 0, any);
-            prop_assert_eq!(logical_mask >> lane & 1 != 0, packed.is_logical_x(errs));
+            assert_eq!(any_mask >> lane & 1 != 0, any, "case {case}: d={d} lane={lane}");
+            assert_eq!(
+                logical_mask >> lane & 1 != 0,
+                packed.is_logical_x(errs),
+                "case {case}: d={d} lane={lane}"
+            );
         }
-    }
+    });
+}
 
-    /// Syndromes are linear: syndrome(a ⊕ b) = syndrome(a) ⊕ syndrome(b).
-    #[test]
-    fn syndromes_are_linear(a in errors_strategy(5), b in errors_strategy(5)) {
-        let lattice = Lattice::new(5);
+/// Syndromes are linear: syndrome(a ⊕ b) = syndrome(a) ⊕ syndrome(b).
+#[test]
+fn syndromes_are_linear() {
+    let lattice = Lattice::new(5);
+    for_cases(0x11EA2, |rng, case| {
+        let a = error_flags(rng, 25);
+        let b = error_flags(rng, 25);
         let xor: Vec<bool> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
         let sa = lattice.z_syndrome(&a);
         let sb = lattice.z_syndrome(&b);
         let sx = lattice.z_syndrome(&xor);
         for i in 0..sa.len() {
-            prop_assert_eq!(sx[i], sa[i] ^ sb[i]);
+            assert_eq!(sx[i], sa[i] ^ sb[i], "case {case}: check {i}");
         }
-    }
+    });
+}
 
-    /// Stabilizers commute with the logical operators at every distance.
-    #[test]
-    fn stabilizer_logical_commutation(d in 2usize..12) {
+/// Stabilizers commute with the logical operators at every distance.
+#[test]
+fn stabilizer_logical_commutation() {
+    for_cases(0xC0AA, |rng, case| {
+        let d = range(rng, 2, 12);
         let l = Lattice::new(d);
         let lz = l.logical_z();
         for chk in &l.x_checks {
             let overlap = chk.support.iter().filter(|q| lz.contains(q)).count();
-            prop_assert_eq!(overlap % 2, 0);
+            assert_eq!(overlap % 2, 0, "case {case}: d={d} X-check at {:?}", chk.pos);
         }
         let lx = l.logical_x();
         for chk in &l.z_checks {
             let overlap = chk.support.iter().filter(|q| lx.contains(q)).count();
-            prop_assert_eq!(overlap % 2, 0);
+            assert_eq!(overlap % 2, 0, "case {case}: d={d} Z-check at {:?}", chk.pos);
         }
-    }
+    });
+}
 
-    /// Check counts follow `d² − 1` with balanced X/Z families.
-    #[test]
-    fn check_count_formula(d in 2usize..16) {
+/// Check counts follow `d² − 1` with balanced X/Z families.
+#[test]
+fn check_count_formula() {
+    for_cases(0xC4EC, |rng, case| {
+        let d = range(rng, 2, 16);
         let l = Lattice::new(d);
-        prop_assert_eq!(l.x_checks.len() + l.z_checks.len(), d * d - 1);
+        assert_eq!(l.x_checks.len() + l.z_checks.len(), d * d - 1, "case {case}: d={d}");
         let diff = l.x_checks.len() as i64 - l.z_checks.len() as i64;
-        prop_assert!(diff.abs() <= 1);
-    }
+        assert!(diff.abs() <= 1, "case {case}: d={d} families differ by {diff}");
+    });
+}
 
-    /// The analytic logical error is monotone in every physical error
-    /// contribution and in the cycle time.
-    #[test]
-    fn logical_error_is_monotone(
-        base_cycle in 500.0f64..3000.0,
-        extra in 1.0f64..3000.0,
-        d in 2u32..12,
-    ) {
-        let d = 2 * d + 1; // odd distances
+/// The analytic logical error is monotone in every physical error
+/// contribution and in the cycle time.
+#[test]
+fn logical_error_is_monotone() {
+    for_cases(0x303E, |rng, case| {
+        let base_cycle = uniform(rng, 500.0, 3000.0);
+        let extra = uniform(rng, 1.0, 3000.0);
+        let d = 2 * range(rng, 2, 12) as u32 + 1; // odd distances
         let slow = cmos_budget(base_cycle + extra).logical_error(d, &CALIBRATION);
         let fast = cmos_budget(base_cycle).logical_error(d, &CALIBRATION);
-        prop_assert!(slow >= fast, "slower cycle must not reduce p_L");
+        assert!(slow >= fast, "case {case}: slower cycle must not reduce p_L (d={d})");
         // SFQ (worse readout) never beats CMOS at the same cycle.
         let sfq = sfq_budget(base_cycle).logical_error(d, &CALIBRATION);
-        prop_assert!(sfq >= fast);
-    }
+        assert!(sfq >= fast, "case {case}: SFQ beat CMOS at d={d}, cycle {base_cycle}");
+    });
+}
 
-    /// Larger distances help (below threshold) and p_L is a probability.
-    #[test]
-    fn distance_scaling(cycle in 500.0f64..2000.0) {
+/// Larger distances help (below threshold) and p_L is a probability.
+#[test]
+fn distance_scaling() {
+    for_cases(0xD157, |rng, case| {
+        let cycle = uniform(rng, 500.0, 2000.0);
         let mut last = 1.0f64;
         for d in [3u32, 7, 11, 15, 23] {
             let p = cmos_budget(cycle).logical_error(d, &CALIBRATION);
-            prop_assert!((0.0..=1.0).contains(&p));
-            prop_assert!(p <= last + 1e-30, "d={d}: {p} vs previous {last}");
+            assert!((0.0..=1.0).contains(&p), "case {case}: p_L {p} at d={d}");
+            assert!(p <= last + 1e-30, "case {case}: d={d}: {p} vs previous {last}");
             last = p;
         }
-    }
+    });
 }

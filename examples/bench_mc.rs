@@ -13,6 +13,10 @@
 //! * a rare-event splitting estimate whose 95 % CI covers the exact
 //!   small-`p` expansion deep in the tail.
 //!
+//! It also times the engine's own sliced estimate — d = 23, 32,768
+//! trials, p = 2·10⁻³, `logical_error_rate_sliced_par` on the default
+//! pool — and reports its fallback lanes, verdict-memo hits and decodes.
+//!
 //! Run with `cargo run --release --example bench_mc` (writes
 //! `BENCH_mc.json`), or `-- --smoke` for the CI regression gate (tiny
 //! trial counts, correctness checks plus the d = 7 sliced-speedup
@@ -36,6 +40,12 @@ const P: f64 = 0.001;
 const SEED: u64 = 0x51_C0DE;
 /// Distances benchmarked (d = 7 carries the acceptance gate).
 const DISTANCES: [usize; 5] = [3, 5, 7, 9, 11];
+/// The engine's sliced operating point: the code distance and trial
+/// count of its `Estimator::Sliced` stage, at a physical error rate in
+/// the presets' range.
+const ENGINE_D: usize = 23;
+const ENGINE_P: f64 = 2e-3;
+const ENGINE_TRIALS: usize = 32_768;
 
 struct Row {
     d: usize,
@@ -105,6 +115,43 @@ fn bench_distance(d: usize, legacy_trials: usize, packed_trials: usize) -> Row {
         sliced_tps,
         sliced_speedup: sliced_tps / after_tps,
         failures_match,
+    }
+}
+
+/// One timed engine-point estimate and its fallback-path accounting.
+struct EngineRow {
+    threads: usize,
+    trials_per_sec: f64,
+    fallback_lanes: u64,
+    memo_hits: u64,
+    decodes: u64,
+}
+
+/// Times `logical_error_rate_sliced_par` at the engine's operating point
+/// on the default pool (best of nine runs, each checked against the
+/// first) and reads its fallback-lane and memo-hit counters from the
+/// `qisim-obs` registry; every fallback lane not answered by the memo
+/// is decoded.
+fn bench_engine_point() -> EngineRow {
+    let lattice = Lattice::new(ENGINE_D);
+    let counter = |name: &str| qisim::obs::snapshot().counter(name).unwrap_or(0);
+    let before = (counter("surface.sliced.fallback_trials"), counter("surface.sliced.memo_hits"));
+    let reference = logical_error_rate_sliced_par(&lattice, ENGINE_P, ENGINE_TRIALS, SEED);
+    let fallback_lanes = counter("surface.sliced.fallback_trials") - before.0;
+    let memo_hits = counter("surface.sliced.memo_hits") - before.1;
+    let mut best = 0.0f64;
+    for _ in 0..9 {
+        let started = Instant::now();
+        let estimate = logical_error_rate_sliced_par(&lattice, ENGINE_P, ENGINE_TRIALS, SEED);
+        best = best.max(ENGINE_TRIALS as f64 / started.elapsed().as_secs_f64());
+        assert_eq!(estimate, reference, "engine-point estimate changed between runs");
+    }
+    EngineRow {
+        threads: qisim::par::threads(),
+        trials_per_sec: best,
+        fallback_lanes,
+        memo_hits,
+        decodes: fallback_lanes - memo_hits,
     }
 }
 
@@ -231,6 +278,16 @@ fn main() {
         })
     });
     let rare_ok = rare_event_ci_covers_exact();
+    let engine = bench_engine_point();
+    println!(
+        "  engine point: d = {ENGINE_D}, p = {ENGINE_P}, {ENGINE_TRIALS} trials, {} threads: \
+         {:.0} trials/s | {} fallback lanes, {} memo hits, {} decodes",
+        engine.threads,
+        engine.trials_per_sec,
+        engine.fallback_lanes,
+        engine.memo_hits,
+        engine.decodes
+    );
 
     let all_match = rows.iter().all(|r| r.failures_match);
     let d7 = rows.iter().find(|r| r.d == 7).expect("d = 7 row");
@@ -275,6 +332,8 @@ fn main() {
     );
     let _ = writeln!(json, "  \"p\": {P},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
     json.push_str("  \"distances\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -294,6 +353,18 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"engine_point\": {{\"d\": {ENGINE_D}, \"p\": {ENGINE_P}, \"trials\": {ENGINE_TRIALS}, \
+         \"estimator\": \"logical_error_rate_sliced_par\", \"threads\": {}, \
+         \"trials_per_sec\": {:.0}, \"fallback_lanes\": {}, \"memo_hits\": {}, \
+         \"decodes\": {}}},",
+        engine.threads,
+        engine.trials_per_sec,
+        engine.fallback_lanes,
+        engine.memo_hits,
+        engine.decodes
+    );
     let _ = writeln!(json, "  \"speedup_d7\": {:.2},", d7.speedup);
     let _ = writeln!(json, "  \"speedup_sliced_d7\": {d7_sliced_speedup:.2},");
     let _ = writeln!(json, "  \"results_identical_across_thread_counts\": {identical},");
